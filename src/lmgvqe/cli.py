@@ -7,10 +7,11 @@ Commands:
     spectrum    multistart eigenvalue discovery (JSON report + CSV tables)
     overlaps    fidelity matrix of discovered states vs exact eigenvectors
 
-Exit codes: 0 success, 2 invalid configuration, 3 spectrum coverage below
-100% (partial results are still written).  All numeric output is printed at
-9 significant digits and every artifact carries a format_version field, so
-identical configurations and seeds reproduce files byte for byte.
+Exit codes: 0 success, 2 invalid configuration or a singular readout
+calibration, 3 spectrum coverage below 100% (partial results are still
+written).  All numeric output is printed at 9 significant digits and every
+artifact carries a format_version field, so identical configurations and
+seeds reproduce files byte for byte.
 """
 
 from __future__ import annotations
@@ -27,8 +28,15 @@ import numpy as np
 
 from .analysis import HARDWARE_REFERENCE, eigensolve, overlap_table
 from .circuits import Circuit, ansatz_1q, ansatz_2q
-from .mitigation import Mitigation
-from .optimizer import EstimatorConfig, RunTrace, discover_spectrum, minimize_variance, sweep
+from .mitigation import Mitigation, MitigationError
+from .optimizer import (
+    EstimatorConfig,
+    RunTrace,
+    _matching_cluster,
+    discover_spectrum,
+    minimize_variance,
+    sweep,
+)
 from .pauli import PauliSum, decompose
 from .quasispin import ModelParams, QuasispinBlock, build_blocks, square_block
 from .simulator import NoiseModel
@@ -509,11 +517,7 @@ def _cluster_rows(config: ExperimentConfig, block, report) -> list[dict]:
     reference = _reference_rows(config, block)
     rows = []
     for ordinal, exact in enumerate(report.oracle_eigenvalues):
-        match = None
-        for cluster in report.clusters:
-            if abs(cluster.energy - exact) <= max(5.0 * cluster.stderr, 1e-3):
-                match = cluster
-                break
+        match = _matching_cluster(report.clusters, exact)
         row = {
             "ordinal": ordinal,
             "exact_value": _fmt(exact),
@@ -588,7 +592,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return _COMMANDS[args.command](config)
-    except ValueError as exc:
+    except (ValueError, MitigationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,6 +119,15 @@ def _threshold(config: EstimatorConfig, result: EstimationResult) -> float:
     return max(2.0 * result.variance_stderr, SAMPLED_VARIANCE_FLOOR)
 
 
+def _matching_cluster(clusters, value: float) -> SpectrumCluster | None:
+    """The first cluster within max(5 * stderr, CLUSTER_RADIUS_FLOOR) of an
+    exact eigenvalue, or None."""
+    for cluster in clusters:
+        if abs(cluster.energy - value) <= max(5.0 * cluster.stderr, CLUSTER_RADIUS_FLOOR):
+            return cluster
+    return None
+
+
 def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
     simplex = np.tile(x0, (len(x0) + 1, 1))
     for i in range(len(x0)):
@@ -358,16 +367,10 @@ def discover_spectrum(
         # a state converged to |variance| < T sits within sqrt(T) of an
         # eigenvector (residual^2 = exact variance), so the screen must be
         # calibrated to sqrt(threshold); stderr alone underestimates it
-        if config.exact:
-            threshold = EXACT_VARIANCE_TOL
-            combined_stderr = 0.0
-        else:
-            threshold = max(
-                2.0 * rep_trace.final.variance_stderr, SAMPLED_VARIANCE_FLOOR
-            )
-            combined_stderr = float(np.hypot(
-                rep_trace.final.energy_stderr, rep_trace.final.variance_stderr
-            ))
+        threshold = _threshold(config, rep_trace.final)
+        combined_stderr = float(np.hypot(
+            rep_trace.final.energy_stderr, rep_trace.final.variance_stderr
+        ))
         tol = max(3.0 * np.sqrt(threshold), 10.0 * combined_stderr)
         passed, residual = accidental_zero_check(
             circuit, rep_trace.final_parameters, h, tolerance=tol
@@ -386,12 +389,7 @@ def discover_spectrum(
         ))
 
     oracle = eigensolve(reconstruct(h))
-    matched = 0
-    for value in oracle.eigenvalues:
-        for cluster in clusters:
-            if abs(cluster.energy - value) <= max(5.0 * cluster.stderr, CLUSTER_RADIUS_FLOOR):
-                matched += 1
-                break
+    matched = sum(_matching_cluster(clusters, value) is not None for value in oracle.eigenvalues)
     coverage = matched / len(oracle.eigenvalues)
     return SpectrumReport(
         clusters=clusters,

@@ -2,28 +2,26 @@
 
 One measurement circuit per Pauli term: the ansatz circuit is followed by a
 basis-change rotation on every qubit where the term acts with X or Y, then
-all qubits are read out in the computational basis.  Noise is injected
-stochastically per shot (a uniformly random non-identity two-qubit Pauli
-after each CNOT with probability ``cnot_depolarizing``; independent bit
-flips at readout), which reproduces the corresponding Pauli channels exactly
-in expectation while keeping memory at one statevector.
+all qubits are read out in the computational basis.  The noisy outcome
+distribution is computed exactly and sampled with a single multinomial
+draw.  Each CNOT is followed, with probability ``cnot_depolarizing``, by a
+uniformly random non-identity two-qubit Pauli; on the supported registers
+(at most two qubits) this is global depolarizing, so after k CNOTs the
+ideal distribution p becomes lambda^k p + (1 - lambda^k) / 2^n with
+lambda = 1 - 16 p_cnot / 15.  Readout flips each bit independently, which
+multiplies the distribution by the Kronecker product of the per-qubit 2x2
+confusion matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .circuits import (
-    Circuit,
-    _bound_angle,
-    apply_cnot,
-    apply_single_qubit,
-    apply_x,
-    ry_matrix,
-)
-from .pauli import PAULI_MATRICES, PauliString
+from .circuits import Circuit, apply_single_qubit, ry_matrix, run
+from .pauli import PauliString
 
 __all__ = [
     "NoiseModel",
@@ -35,11 +33,6 @@ __all__ = [
 # maps the +1 eigenbasis of X (resp. Y) onto the computational basis
 _X_BASIS_CHANGE = ry_matrix(-np.pi / 2.0)
 _Y_BASIS_CHANGE = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2.0)  # RX(pi/2)
-
-# the 15 non-identity two-qubit Paulis, as (control label, target label)
-_TWO_QUBIT_PAULIS = tuple(
-    (a, b) for a in "IXYZ" for b in "IXYZ" if (a, b) != ("I", "I")
-)
 
 
 @dataclass(frozen=True)
@@ -55,6 +48,12 @@ class NoiseModel:
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {p}")
+        if self.readout_p01 + self.readout_p10 >= 1.0:
+            # the confusion matrix is then singular (= 1) or inverted (> 1)
+            raise ValueError(
+                f"readout_p01 + readout_p10 must be below 1, got "
+                f"{self.readout_p01} + {self.readout_p10}"
+            )
         if not 0.0 <= self.cnot_depolarizing < 0.5:
             raise ValueError(f"cnot_depolarizing must lie in [0, 0.5), got {self.cnot_depolarizing}")
 
@@ -99,74 +98,37 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _measurement_ops(circuit: Circuit, parameters, term: PauliString):
-    """Bound operation list: circuit gates plus basis-change rotations.
+def _outcome_distribution(
+    circuit: Circuit, parameters, term: PauliString, noise: NoiseModel
+) -> np.ndarray:
+    """Exact distribution of read bitstrings for the measurement circuit of a
+    term; index b is the bitstring ``format(b, "0{n}b")``.
 
-    Returns (ops, cnot_positions) where each op is ("u", qubit, 2x2 matrix),
-    ("x", qubit) or ("cnot", control, target).
+    The closed-form CNOT channel (module docstring) needs every CNOT to touch
+    the whole register, so it commutes with every later gate.
     """
-    ops = []
-    for gate in circuit.gates:
-        if gate.kind == "ry":
-            ops.append(("u", gate.target, ry_matrix(_bound_angle(gate, parameters))))
-        elif gate.kind == "x":
-            ops.append(("x", gate.target))
-        else:
-            ops.append(("cnot", gate.control, gate.target))
+    n = circuit.num_qubits
+    amps = run(circuit, parameters).amplitudes
     for q, label in enumerate(term.labels):
         if label == "X":
-            ops.append(("u", q, _X_BASIS_CHANGE))
+            amps = apply_single_qubit(amps, n, q, _X_BASIS_CHANGE)
         elif label == "Y":
-            ops.append(("u", q, _Y_BASIS_CHANGE))
-    cnot_positions = tuple(i for i, op in enumerate(ops) if op[0] == "cnot")
-    return ops, cnot_positions
-
-
-def _evolve(ops, num_qubits: int, errors: dict[int, int] | None = None) -> np.ndarray:
-    """Run the op list on |0...0>, inserting Pauli errors after chosen CNOTs.
-
-    ``errors`` maps op index -> index into _TWO_QUBIT_PAULIS.
-    """
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[0] = 1.0
-    for i, op in enumerate(ops):
-        if op[0] == "u":
-            amps = apply_single_qubit(amps, num_qubits, op[1], op[2])
-        elif op[0] == "x":
-            amps = apply_x(amps, num_qubits, op[1])
-        else:
-            amps = apply_cnot(amps, num_qubits, op[1], op[2])
-            if errors and i in errors:
-                label_c, label_t = _TWO_QUBIT_PAULIS[errors[i]]
-                if label_c != "I":
-                    amps = apply_single_qubit(amps, num_qubits, op[1], PAULI_MATRICES[label_c])
-                if label_t != "I":
-                    amps = apply_single_qubit(amps, num_qubits, op[2], PAULI_MATRICES[label_t])
-    return amps
-
-
-def _probabilities(amps: np.ndarray) -> np.ndarray:
+            amps = apply_single_qubit(amps, n, q, _Y_BASIS_CHANGE)
     p = np.abs(amps) ** 2
-    return p / p.sum()
-
-
-def _readout_column(true_index: int, num_qubits: int, noise: NoiseModel) -> np.ndarray:
-    """Distribution over read bitstrings given the true bitstring."""
-    p01, p10 = noise.readout_p01, noise.readout_p10
-    column = np.ones(1)
-    for q in range(num_qubits):
-        bit = (true_index >> (num_qubits - 1 - q)) & 1
-        per_bit = np.array([p10, 1.0 - p10]) if bit else np.array([1.0 - p01, p01])
-        column = np.kron(column, per_bit)
-    return column
-
-
-def _apply_readout_noise(ideal: np.ndarray, num_qubits: int, noise: NoiseModel, rng) -> np.ndarray:
-    read = np.zeros_like(ideal)
-    for b in range(len(ideal)):
-        if ideal[b]:
-            read += rng.multinomial(ideal[b], _readout_column(b, num_qubits, noise))
-    return read
+    p /= p.sum()
+    k = circuit.num_cnots
+    if noise.cnot_depolarizing > 0.0 and k:
+        if n > 2:
+            raise ValueError(
+                f"CNOT noise is only modelled on registers of at most 2 qubits, got {n}"
+            )
+        survival = (1.0 - 16.0 * noise.cnot_depolarizing / 15.0) ** k
+        p = survival * p + (1.0 - survival) / p.size
+    if noise.has_readout_error:
+        p01, p10 = noise.readout_p01, noise.readout_p10
+        confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+        p = reduce(np.kron, [confusion] * n) @ p
+    return p
 
 
 def measure_term(
@@ -179,9 +141,10 @@ def measure_term(
 ) -> ShotResult:
     """Sample ``shots`` bitstrings from the measurement circuit of one term.
 
-    Deterministic for a fixed seed.  When CNOT noise is active, shots are
-    stratified by their (sparse) error pattern so only the affected shots
-    need a separate statevector evolution.
+    One multinomial draw from the exact noisy outcome distribution, so the
+    counts are deterministic for a fixed seed.  Raises ValueError when CNOT
+    noise is set on a circuit with CNOTs and more than two qubits, where the
+    closed-form channel does not hold.
     """
     if term.num_qubits != circuit.num_qubits:
         raise ValueError(
@@ -189,31 +152,9 @@ def measure_term(
         )
     if shots < 1:
         raise ValueError("shots must be positive")
-    rng = _rng(seed)
     n = circuit.num_qubits
-    ops, cnot_positions = _measurement_ops(circuit, tuple(parameters), term)
-
-    if noise.cnot_depolarizing > 0.0 and cnot_positions:
-        k = len(cnot_positions)
-        occurred = rng.random((shots, k)) < noise.cnot_depolarizing
-        kinds = rng.integers(0, len(_TWO_QUBIT_PAULIS), size=(shots, k))
-        codes = np.where(occurred, kinds + 1, 0).astype(np.int64)
-        keys = codes @ (16 ** np.arange(k, dtype=np.int64))
-        ideal = np.zeros(2**n, dtype=np.int64)
-        unique_keys, group_sizes = np.unique(keys, return_counts=True)
-        for key, size in zip(unique_keys, group_sizes):
-            errors = {}
-            for i, pos in enumerate(cnot_positions):
-                code = (int(key) >> (4 * i)) & 0xF
-                if code:
-                    errors[pos] = code - 1
-            probs = _probabilities(_evolve(ops, n, errors))
-            ideal += rng.multinomial(size, probs)
-    else:
-        probs = _probabilities(_evolve(ops, n))
-        ideal = rng.multinomial(shots, probs)
-
-    read = _apply_readout_noise(ideal, n, noise, rng) if noise.has_readout_error else ideal
+    dist = _outcome_distribution(circuit, tuple(parameters), term, noise)
+    read = _rng(seed).multinomial(shots, dist)
     counts = {format(b, f"0{n}b"): int(c) for b, c in enumerate(read) if c}
     return ShotResult(counts=counts, shots=shots)
 

@@ -188,6 +188,22 @@ class TestConfigHandling:
         assert main(["minimize", "--n", "3", "--noise-readout", "1.5"]) == 2
         assert main(["spectrum", "--n", "3", "--mitigate", "zne"]) == 2
 
+    def test_readout_flips_summing_to_one_exit_2(self, capsys):
+        # a singular confusion matrix cannot be inverted by --mitigate readout
+        args = ["minimize", "--n", "3", "--shots", "20", "--noise-readout", "0.5",
+                "--mitigate", "readout"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_singular_sampled_calibration_exits_2(self, capsys):
+        # one calibration shot per column at 40% flips: some evaluation reads
+        # both basis states as the same bitstring
+        args = ["minimize", "--n", "3", "--shots", "1", "--noise-readout", "0.4",
+                "--mitigate", "readout", "--seed", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "singular" in err
+
     def test_missing_config_file(self):
         assert main(["spectrum", "--config", "/nonexistent/config.json"]) == 2
 

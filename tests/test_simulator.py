@@ -1,17 +1,23 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 
 from lmgvqe import (
+    Circuit,
+    Gate,
     NoiseModel,
     PauliString,
     ShotResult,
     ansatz_1q,
     ansatz_2q,
     expectation_from_counts,
+    fold_cnots,
     measure_term,
     run,
 )
-from lmgvqe.simulator import _X_BASIS_CHANGE, _Y_BASIS_CHANGE
+from lmgvqe.simulator import _X_BASIS_CHANGE, _Y_BASIS_CHANGE, _outcome_distribution
 from lmgvqe.pauli import PAULI_MATRICES
 
 Z0 = PauliString(("Z",))
@@ -122,6 +128,92 @@ class TestMeasureTerm:
         assert abs(m_noisy) < abs(m_clean)
 
 
+# ---- independent density-matrix oracle: full 2^n x 2^n unitaries, the
+# per-CNOT 15-Pauli Kraus map, textbook basis changes and a kron readout matrix
+
+_SIGMA = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+# H maps X to Z; H S^dagger maps Y to Z
+_TO_Z_BASIS = {"I": _SIGMA["I"], "Z": _SIGMA["I"], "X": _HADAMARD,
+               "Y": _HADAMARD @ np.diag([1.0, -1j])}
+
+
+def _on_qubits(n, ops):
+    """Kronecker product with ops[q] on qubit q (qubit 0 most significant)."""
+    return reduce(np.kron, [ops.get(q, _SIGMA["I"]) for q in range(n)])
+
+
+def _cnot_unitary(n, control, target):
+    u = np.zeros((2**n, 2**n))
+    for b in range(2**n):
+        bits = [(b >> (n - 1 - q)) & 1 for q in range(n)]
+        bits[target] ^= bits[control]
+        u[int("".join(map(str, bits)), 2), b] = 1.0
+    return u
+
+
+def density_matrix_distribution(circuit, parameters, term, p01, p10, p_cnot):
+    n = circuit.num_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        if gate.kind == "ry":
+            t = parameters[gate.parameter_slot] if gate.parameter_slot is not None else gate.angle
+            ry = np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]])
+            u = _on_qubits(n, {gate.target: ry})
+        elif gate.kind == "x":
+            u = _on_qubits(n, {gate.target: _SIGMA["X"]})
+        else:
+            u = _cnot_unitary(n, gate.control, gate.target)
+        rho = u @ rho @ u.conj().T
+        if gate.kind == "cnot":
+            paulis = [
+                _on_qubits(n, {gate.control: _SIGMA[a], gate.target: _SIGMA[b]})
+                for a, b in product("IXYZ", repeat=2) if a + b != "II"
+            ]
+            rho = (1 - p_cnot) * rho + p_cnot / 15 * sum(p @ rho @ p for p in paulis)
+    u = _on_qubits(n, {q: _TO_Z_BASIS[l] for q, l in enumerate(term.labels)})
+    ideal = np.real(np.diag(u @ rho @ u.conj().T))
+    confusion = np.array([[1 - p01, p10], [p01, 1 - p10]])
+    return reduce(np.kron, [confusion] * n) @ ideal
+
+
+class TestOutcomeDistribution:
+    @pytest.mark.parametrize("fold", [1, 3, 5])
+    def test_matches_density_matrix_evolution(self, fold):
+        rng = np.random.default_rng(fold)
+        circuit = fold_cnots(ansatz_2q(), fold)
+        for labels in product("IXYZ", repeat=2):
+            params = rng.uniform(-np.pi, np.pi, 3)
+            p01, p10 = rng.uniform(0.0, 0.3, 2)
+            p_cnot = rng.uniform(0.0, 0.3)
+            term = PauliString(labels)
+            got = _outcome_distribution(circuit, params, term, NoiseModel(p01, p10, p_cnot))
+            expected = density_matrix_distribution(circuit, params, term, p01, p10, p_cnot)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_one_qubit_readout_matches_density_matrix(self):
+        for theta, label in product((-2.0, 0.3, 1.9), "IXYZ"):
+            term = PauliString((label,))
+            got = _outcome_distribution(ansatz_1q(), (theta,), term, NoiseModel(0.07, 0.15))
+            expected = density_matrix_distribution(ansatz_1q(), (theta,), term, 0.07, 0.15, 0.0)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_cnot_noise_beyond_two_qubits_rejected(self):
+        circuit = Circuit(3, (Gate("x", target=0), Gate("cnot", target=2, control=0)))
+        term = PauliString(("Z", "Z", "Z"))
+        with pytest.raises(ValueError):
+            measure_term(circuit, (), term, 100, noise=NoiseModel(cnot_depolarizing=0.01))
+        # readout noise alone stays exact on any register
+        result = measure_term(circuit, (), term, 100, noise=NoiseModel(0.01, 0.02))
+        assert result.shots == 100
+
+
 class TestExpectationFromCounts:
     def test_identity_term(self):
         result = ShotResult({"0": 10}, 10)
@@ -154,6 +246,12 @@ class TestNoiseModelValidation:
             NoiseModel(readout_p10=-0.1)
         with pytest.raises(ValueError):
             NoiseModel(cnot_depolarizing=0.5)
+
+    @pytest.mark.parametrize("p01,p10", [(0.5, 0.5), (0.6, 0.5), (0.9, 0.3)])
+    def test_readout_flips_must_sum_below_one(self, p01, p10):
+        # at 1 the confusion matrix is singular, above 1 it is inverted
+        with pytest.raises(ValueError):
+            NoiseModel(p01, p10)
 
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError):
