@@ -10,7 +10,7 @@ whose global zeros are exactly the eigenstates.
 
 from .analysis import EigenDecomposition, eigensolve, fidelity, overlap_table
 from .circuits import Circuit, Gate, Statevector, ansatz_1q, ansatz_2q, fold_cnots, run
-from .estimator import EstimationResult, estimate, expectation_exact
+from .estimator import EstimationResult, estimate, expectation_exact, expectation_from_counts
 from .mitigation import (
     ConfusionMatrix,
     Mitigation,
@@ -40,9 +40,8 @@ from .simulator import (
     DEFAULT_SYNTHETIC_NOISE,
     NOISELESS,
     NoiseModel,
-    ShotResult,
-    expectation_from_counts,
     measure_term,
+    parity_signs,
 )
 
 __version__ = "0.1.0"
@@ -51,8 +50,8 @@ __all__ = [
     "ModelParams", "QuasispinBlock", "build_blocks", "ladder_squared_element", "square_block",
     "PauliString", "PauliSum", "decompose", "reconstruct", "multiply",
     "Gate", "Circuit", "Statevector", "ansatz_1q", "ansatz_2q", "run", "fold_cnots",
-    "NoiseModel", "NOISELESS", "DEFAULT_SYNTHETIC_NOISE", "ShotResult",
-    "measure_term", "expectation_from_counts",
+    "NoiseModel", "NOISELESS", "DEFAULT_SYNTHETIC_NOISE",
+    "measure_term", "parity_signs", "expectation_from_counts",
     "Mitigation", "MitigationError", "ConfusionMatrix",
     "calibrate", "mitigate_counts", "cnot_extrapolate",
     "EstimationResult", "estimate", "expectation_exact",

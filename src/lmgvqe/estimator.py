@@ -10,8 +10,15 @@ and of its square; every non-identity term gets its own measurement circuit,
 while identity terms contribute their coefficients exactly.
 
 ``shots=None`` selects exact (infinite-shot) expectation values from the
-statevector; any positive integer selects sampled estimation with binomial
-standard errors and first-order error propagation into the variance.
+statevector; any positive integer selects sampled estimation.  A term's
+mean is s . q for its parity signs s and q = A^-1 f, the frequencies f
+corrected by the readout calibration A (A = I without one).  As a weighted
+count w . f with w = A^-T s, its first-order variance is
+
+    (sum w^2 f - mean^2) / shots + sum_j q_j^2 (sum_i w_i^2 A_ij - 1) / cal_shots,
+
+where the second part is the noise of each calibrated column j
+(Maciejewski, Zimboras & Oszmaniec, Quantum 4, 257, 2020).
 """
 
 from __future__ import annotations
@@ -22,17 +29,11 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, Statevector, fold_cnots, run
-from .mitigation import Mitigation, calibrate, cnot_extrapolate, mitigate_counts
+from .mitigation import ConfusionMatrix, Mitigation, calibrate, cnot_extrapolate, mitigate_counts
 from .pauli import PauliString, PauliSum, _dense, multiply, string_matrix
-from .simulator import (
-    NOISELESS,
-    NoiseModel,
-    _parity_mean,
-    expectation_from_counts,
-    measure_term,
-)
+from .simulator import NOISELESS, NoiseModel, _checked_counts, measure_term, parity_signs
 
-__all__ = ["EstimationResult", "expectation_exact", "estimate"]
+__all__ = ["EstimationResult", "expectation_exact", "expectation_from_counts", "estimate"]
 
 SQUARE_CHECK_TOL = 1e-8
 
@@ -98,6 +99,37 @@ def _exact_term_means(state: Statevector, psum: PauliSum):
         return const, betas, strings, np.zeros(0)
     means = np.einsum("i,tij,j->t", amps.conj(), stack, amps).real
     return const, betas, strings, means
+
+
+def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal: ConfusionMatrix | None):
+    """Means and standard errors of T terms from their counts and parity
+    signs, both of shape (T, 2^n), by the weighted-count formula of the
+    module docstring."""
+    shots = counts.sum(axis=-1)
+    if cal is None:
+        q, w, cal_var = counts / shots[:, None], signs, 0.0
+    else:
+        q = mitigate_counts(counts, cal)
+        w = np.linalg.solve(cal.matrix.T, signs.T).T
+        # w . A_j = s_j = +-1, so each column's own term is w^2 . A_j - 1
+        cal_var = (q**2 * (w**2 @ cal.matrix - 1.0)).sum(axis=-1) / cal.shots_per_column
+    mean = (signs * q).sum(axis=-1)
+    var = ((w**2 * counts).sum(axis=-1) / shots - mean**2) / shots + cal_var
+    return mean, np.sqrt(np.maximum(var, 0.0))
+
+
+def expectation_from_counts(
+    counts, term: PauliString, cal: ConfusionMatrix | None = None
+) -> tuple[float, float]:
+    """Estimate <term> and its standard error from one count vector, with
+    readout mitigation when a calibration is given."""
+    counts = _checked_counts(counts, term.num_qubits)
+    if counts.ndim != 1:
+        raise ValueError(f"expected one count vector, got shape {counts.shape}")
+    if term.is_identity:
+        return 1.0, 0.0
+    mean, stderr = _term_estimates(counts[None], parity_signs(term)[None], cal)
+    return float(mean[0]), float(stderr[0])
 
 
 def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.ndarray):
@@ -171,31 +203,24 @@ def estimate(
         cal_shots = mitigation.calibration_shots or shots
         cal = calibrate(circuit.num_qubits, noise, cal_shots, next(streams))
 
-    by_fold: dict[int, list[tuple[float, float]]] = {}
+    # reshape keeps the (terms, outcomes) shape when no term is measured
+    signs = np.array([parity_signs(s) for s in all_strings]).reshape(-1, 2**circuit.num_qubits)
+    by_fold = []
     for fold in folds:
         folded = fold_cnots(circuit, fold)
-        estimates = []
-        for string in all_strings:
-            result = measure_term(folded, parameters, string, shots, noise, next(streams))
-            if cal is not None:
-                weights = mitigate_counts(result, cal)
-                mean = _parity_mean(weights, string)
-                stderr = float(np.sqrt(max(1.0 - mean * mean, 0.0) / shots))
-            else:
-                mean, stderr = expectation_from_counts(result, string)
-            estimates.append((mean, stderr))
-        by_fold[fold] = estimates
-
+        counts = np.array([
+            measure_term(folded, parameters, string, shots, noise, next(streams))
+            for string in all_strings
+        ]).reshape(signs.shape)
+        by_fold.append(_term_estimates(counts, signs, cal))
+    means, stderrs = np.array(by_fold).transpose(1, 0, 2)  # each (folds, terms)
     if len(folds) > 1:
-        combined = [
-            cnot_extrapolate([(f, by_fold[f][i][0], by_fold[f][i][1]) for f in folds])
-            for i in range(len(all_strings))
-        ]
+        combined = [cnot_extrapolate(zip(folds, m, e)) for m, e in zip(means.T, stderrs.T)]
+        # contiguous copies keep the summation order of betas @ means in _combine
+        means, stderrs = np.array(combined).reshape(-1, 2).T.copy()
     else:
-        combined = by_fold[folds[0]]
+        means, stderrs = means[0], stderrs[0]
 
-    means = np.array([m for m, _ in combined])
-    stderrs = np.array([s for _, s in combined])
     split = len(terms_h)
     energy, energy_stderr = _combine(
         float(h.identity_coefficient),
@@ -209,5 +234,5 @@ def estimate(
         means[split:],
         stderrs[split:],
     )
-    per_term = [(s, float(m), float(e)) for s, (m, e) in zip(all_strings, combined)]
+    per_term = [(s, float(m), float(e)) for s, m, e in zip(all_strings, means, stderrs)]
     return _assemble(energy, energy_stderr, h_sq, h_sq_stderr, per_term, shots, mitigation)

@@ -1,11 +1,11 @@
 """Error mitigation: confusion-matrix readout correction and CNOT folding.
 
-Readout correction calibrates a column-stochastic confusion matrix by
-preparing every computational basis state with X gates and measuring it,
-then solves the linear system to recover a quasi-probability distribution
-for the uncorrupted counts.  CNOT mitigation re-measures with every CNOT
-replaced by an odd number of copies and extrapolates linearly to the
-zero-CNOT limit.
+Readout correction calibrates a column-stochastic confusion matrix A, whose
+column j holds the read frequencies after preparing basis state j with X
+gates, then solves A q = f to turn measured frequencies f into a
+quasi-probability distribution q for the uncorrupted outcomes.  CNOT
+mitigation re-measures with every CNOT replaced by an odd number of copies
+and extrapolates linearly to the zero-CNOT limit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .pauli import identity_string
-from .simulator import NoiseModel, ShotResult, measure_term
+from .simulator import NoiseModel, _checked_counts, measure_term
 
 __all__ = [
     "Mitigation",
@@ -104,34 +104,26 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
             for q in range(num_qubits)
             if (j >> (num_qubits - 1 - q)) & 1
         )
-        result = measure_term(
+        matrix[:, j] = measure_term(
             Circuit(num_qubits, gates), (), term, shots,
             noise=noise.readout_only(), seed=seeds[j],
-        )
-        for bits, c in result.counts.items():
-            matrix[int(bits, 2), j] = c / shots
+        ) / shots
     return ConfusionMatrix(matrix=matrix, shots_per_column=shots)
 
 
-def mitigate_counts(result: ShotResult, cal: ConfusionMatrix) -> dict[str, float]:
-    """Solve cal @ x = measured frequencies for the corrected distribution.
+def mitigate_counts(counts, cal: ConfusionMatrix) -> np.ndarray:
+    """Solve cal @ q = f for the frequencies f of counts of shape (..., 2^n).
 
     The solution is a quasi-probability vector: entries may be slightly
     negative, and they are kept that way because clipping would bias the
     expectation values computed from it.  The entries always sum to 1.
     """
-    n = cal.num_qubits
-    dim = 2**n
-    freq = np.zeros(dim)
-    for bits, c in result.counts.items():
-        if len(bits) != n:
-            raise ValueError(f"bitstring {bits!r} does not match calibration on {n} qubits")
-        freq[int(bits, 2)] = c / result.shots
+    counts = _checked_counts(counts, cal.num_qubits)
+    freq = counts / counts.sum(axis=-1, keepdims=True)
     try:
-        quasi = np.linalg.solve(cal.matrix, freq)
+        return np.linalg.solve(cal.matrix, freq[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise MitigationError("calibration matrix is singular; counts are unmitigable") from exc
-    return {format(b, f"0{n}b"): float(quasi[b]) for b in range(dim)}
 
 
 def cnot_extrapolate(values) -> tuple[float, float]:

@@ -11,6 +11,10 @@ ideal distribution p becomes lambda^k p + (1 - lambda^k) / 2^n with
 lambda = 1 - 16 p_cnot / 15.  Readout flips each bit independently, which
 multiplies the distribution by the Kronecker product of the per-qubit 2x2
 confusion matrices.
+
+Counts are integer arrays of length 2^n: entry b counts the bitstring
+``format(b, "0{n}b")``, whose character q is qubit q.  Distributions,
+quasi-probabilities and parity signs use the same index.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from .pauli import PauliString
 
 __all__ = [
     "NoiseModel",
-    "ShotResult",
     "measure_term",
-    "expectation_from_counts",
+    "parity_signs",
 ]
 
 # maps the +1 eigenbasis of X (resp. Y) onto the computational basis
@@ -76,33 +79,10 @@ NOISELESS = NoiseModel()
 DEFAULT_SYNTHETIC_NOISE = NoiseModel(readout_p01=0.02, readout_p10=0.02, cnot_depolarizing=0.01)
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    """Counts of measured bitstrings; character q of a key is qubit q."""
-
-    counts: dict[str, int]
-    shots: int
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to shots")
-
-    def frequencies(self) -> dict[str, float]:
-        return {b: c / self.shots for b, c in self.counts.items()}
-
-
-def _rng(seed) -> np.random.Generator:
-    # accepts an int or a SeedSequence so callers can derive per-term streams
-    return np.random.default_rng(seed)
-
-
 def _outcome_distribution(
     circuit: Circuit, parameters, term: PauliString, noise: NoiseModel
 ) -> np.ndarray:
-    """Exact distribution of read bitstrings for the measurement circuit of a
-    term; index b is the bitstring ``format(b, "0{n}b")``.
+    """Exact distribution of read outcomes for the measurement circuit of a term.
 
     The closed-form CNOT channel (module docstring) needs every CNOT to touch
     the whole register, so it commutes with every later gate.
@@ -138,8 +118,8 @@ def measure_term(
     shots: int,
     noise: NoiseModel = NOISELESS,
     seed=0,
-) -> ShotResult:
-    """Sample ``shots`` bitstrings from the measurement circuit of one term.
+) -> np.ndarray:
+    """Counts of ``shots`` readouts of the measurement circuit of one term.
 
     One multinomial draw from the exact noisy outcome distribution, so the
     counts are deterministic for a fixed seed.  Raises ValueError when CNOT
@@ -152,28 +132,24 @@ def measure_term(
         )
     if shots < 1:
         raise ValueError("shots must be positive")
-    n = circuit.num_qubits
     dist = _outcome_distribution(circuit, tuple(parameters), term, noise)
-    read = _rng(seed).multinomial(shots, dist)
-    counts = {format(b, f"0{n}b"): int(c) for b, c in enumerate(read) if c}
-    return ShotResult(counts=counts, shots=shots)
+    # seed may be an int or a SeedSequence, so callers can derive per-term streams
+    return np.random.default_rng(seed).multinomial(shots, dist)
 
 
-def _parity_mean(weights: dict[str, float], term: PauliString) -> float:
-    """Eigenvalue-weighted average over bitstrings: +1 for even parity on the
+def parity_signs(term: PauliString) -> np.ndarray:
+    """Eigenvalue of ``term`` on each outcome: +1 for even parity on the
     non-identity positions of the term, -1 for odd."""
-    active = [q for q, l in enumerate(term.labels) if l != "I"]
-    total = 0.0
-    for bits, w in weights.items():
-        parity = sum(bits[q] == "1" for q in active) & 1
-        total += -w if parity else w
-    return total
+    n = term.num_qubits
+    mask = sum(1 << (n - 1 - q) for q, label in enumerate(term.labels) if label != "I")
+    return np.array([-1.0 if bin(b & mask).count("1") & 1 else 1.0 for b in range(2**n)])
 
 
-def expectation_from_counts(result: ShotResult, term: PauliString) -> tuple[float, float]:
-    """Estimate <term> and its binomial standard error from shot counts."""
-    if term.is_identity:
-        return 1.0, 0.0
-    mean = _parity_mean(result.frequencies(), term)
-    stderr = float(np.sqrt(max(1.0 - mean * mean, 0.0) / result.shots))
-    return float(mean), stderr
+def _checked_counts(counts, num_qubits: int) -> np.ndarray:
+    """Counts of shape (..., 2^n) with no negative entry and no empty row."""
+    counts = np.asarray(counts)
+    if counts.shape[-1:] != (2**num_qubits,):
+        raise ValueError(f"counts of shape {counts.shape} do not cover {num_qubits} qubits")
+    if np.any(counts < 0) or np.any(counts.sum(axis=-1) <= 0):
+        raise ValueError("counts must be non-negative with a positive total")
+    return counts

@@ -31,11 +31,11 @@ from lmgvqe import (
     minimize_variance,
     mitigate_counts,
     multiply,
+    parity_signs,
     reconstruct,
     run,
 )
 from lmgvqe.cli import main
-from lmgvqe.simulator import _parity_mean
 
 from conftest import (
     N3_A_EIGS,
@@ -162,7 +162,7 @@ def test_criterion_5_readout_mitigation_efficacy():
             cal = calibrate(1, noise, shots, seed=10_000 + 2 * seed + k)
             result = measure_term(circuit, (), z0, shots, noise=noise, seed=20_000 + 2 * seed + k)
             raw, _ = expectation_from_counts(result, z0)
-            mitigated = _parity_mean(mitigate_counts(result, cal), z0)
+            mitigated = parity_signs(z0) @ mitigate_counts(result, cal)
             if abs(mitigated - true_value) > abs(raw - true_value) / 5.0:
                 trial_ok = False
         passes += trial_ok

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from lmgvqe import (
+    ConfusionMatrix,
     Mitigation,
     NoiseModel,
     ansatz_1q,
     ansatz_2q,
     estimate,
     expectation_exact,
+    expectation_from_counts,
+    parity_signs,
     run,
     square_block,
 )
+from lmgvqe.estimator import _term_estimates
 from lmgvqe.pauli import PauliString, PauliSum
 
 from conftest import N3_A_EIGS, eigenstate_parameters_1q, eigenstate_parameters_2q
@@ -159,6 +163,101 @@ class TestSampledEstimate:
         combined = np.hypot(base.energy_stderr, folded_circuit.energy_stderr)
         assert abs(base.energy - folded_circuit.energy) <= 3 * combined
 
+    def test_constant_hamiltonian_with_mitigation(self):
+        # no term is measured, so every fold has an empty (0, 2) count array
+        const = PauliSum.from_terms([(0.7, PauliString(("I",)))], 1)
+        const_sq = PauliSum.from_terms([(0.49, PauliString(("I",)))], 1)
+        result = estimate(
+            ansatz_1q(), [0.4], const, const_sq, shots=100, noise=NoiseModel(0.02, 0.02),
+            mitigation=Mitigation(readout=True, cnot=True),
+        )
+        assert (result.energy, result.energy_stderr, result.per_term) == (0.7, 0.0, ())
+        assert result.variance == pytest.approx(0.0, abs=1e-12)
+
     def test_invalid_shots(self, n3_a):
         with pytest.raises(ValueError):
             estimate(ansatz_1q(), [0.0], n3_a.h, n3_a.h2, shots=0)
+
+
+def _numerical_gradient(func, x, step=1e-6):
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        dx = np.zeros_like(x)
+        dx[i] = step
+        grad[i] = (func(x + dx) - func(x - dx)) / (2 * step)
+    return grad
+
+
+def _multinomial_covariance(p, shots):
+    return (np.diag(p) - np.outer(p, p)) / shots
+
+
+def delta_method_variance(counts, signs, matrix, cal_shots):
+    """Variance of s^T A^-1 f to first order in the multinomial noise of the
+    frequencies f and of every calibrated column of A, from numerical
+    Jacobians; cal_shots=None treats A as exact."""
+    shots = counts.sum()
+    freq = counts / shots
+    estimate_of = lambda f, a: signs @ np.linalg.solve(a, f)
+    grad_f = _numerical_gradient(lambda f: estimate_of(f, matrix), freq)
+    var = grad_f @ _multinomial_covariance(freq, shots) @ grad_f
+    if cal_shots is not None:
+        for j in range(matrix.shape[1]):
+            def of_column(col, j=j):
+                a = matrix.copy()
+                a[:, j] = col
+                return estimate_of(freq, a)
+            grad_j = _numerical_gradient(of_column, matrix[:, j])
+            var += grad_j @ _multinomial_covariance(matrix[:, j], cal_shots) @ grad_j
+    return var
+
+
+class TestWeightedCountStderr:
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_matches_delta_method_oracle(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        dim = 2**num_qubits
+        terms = [PauliString(tuple("IZ"[b] for b in l)) for l in np.ndindex(*(2,) * num_qubits) if any(l)]
+        signs = np.array([parity_signs(t) for t in terms])
+        for _ in range(5):
+            matrix = np.eye(dim) + rng.uniform(0.0, 0.2, (dim, dim))
+            matrix /= matrix.sum(axis=0)
+            cal_shots = int(rng.integers(1000, 50_000))
+            counts = np.array([
+                rng.multinomial(int(rng.integers(1000, 50_000)), rng.dirichlet(np.ones(dim)))
+                for _ in terms
+            ])
+            for cal in (None, ConfusionMatrix(matrix, shots_per_column=cal_shots)):
+                _, stderrs = _term_estimates(counts, signs, cal)
+                expected = [
+                    delta_method_variance(c, s, np.eye(dim) if cal is None else matrix,
+                                          None if cal is None else cal_shots)
+                    for c, s in zip(counts, signs)
+                ]
+                np.testing.assert_allclose(stderrs**2, expected, rtol=1e-6, atol=0)
+
+    def test_readout_mitigated_z_scores_have_unit_spread(self, n7_a):
+        # the calibration noise and the inversion both widen the error bar;
+        # leaving them out gives a z spread of about 1.14 on these points
+        rng = np.random.default_rng(2024)
+        noise = NoiseModel(0.02, 0.02)
+        z = []
+        for seed in range(300):
+            params = rng.uniform(-np.pi, np.pi, 3)
+            exact = estimate(ansatz_2q(), params, n7_a.h, n7_a.h2)
+            got = estimate(
+                ansatz_2q(), params, n7_a.h, n7_a.h2, shots=20_000, noise=noise,
+                mitigation=Mitigation(readout=True), seed=seed,
+            )
+            z.append([
+                (getattr(got, f) - getattr(exact, f)) / getattr(got, f + "_stderr")
+                for f in ("energy", "h_squared", "variance")
+            ])
+        assert np.all(np.std(z, axis=0) <= 1.10)
+
+    def test_ill_conditioned_calibration_widens_stderr(self):
+        cal = ConfusionMatrix(np.array([[0.6, 0.4], [0.4, 0.6]]), shots_per_column=20_000)
+        z0 = PauliString(("Z",))
+        _, raw = expectation_from_counts([5500, 4500], z0)
+        _, mitigated = expectation_from_counts([5500, 4500], z0, cal)
+        assert mitigated >= 4 * raw

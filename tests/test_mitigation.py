@@ -6,14 +6,13 @@ from lmgvqe import (
     Mitigation,
     NoiseModel,
     PauliString,
-    ShotResult,
     ansatz_1q,
     calibrate,
     cnot_extrapolate,
     measure_term,
     mitigate_counts,
+    parity_signs,
 )
-from lmgvqe.simulator import _parity_mean
 
 Z0 = PauliString(("Z",))
 
@@ -48,40 +47,39 @@ class TestCalibrate:
 class TestMitigateCounts:
     def test_identity_calibration_is_identity_map(self):
         cal = ConfusionMatrix(np.eye(2), shots_per_column=1)
-        result = ShotResult({"0": 960, "1": 40}, 1000)
+        result = np.array([960, 40])
         quasi = mitigate_counts(result, cal)
-        assert quasi == {"0": 0.96, "1": 0.04}
+        assert quasi.tolist() == [0.96, 0.04]
 
     def test_exact_channel_inversion(self):
         # frequencies (0.98, 0.02) are exactly the 2% channel acting on |0>
         cal = ConfusionMatrix(FLIP_2PC, shots_per_column=1)
-        result = ShotResult({"0": 9800, "1": 200}, 10_000)
+        result = np.array([9800, 200])
         quasi = mitigate_counts(result, cal)
-        assert quasi["0"] == pytest.approx(1.0, abs=1e-9)
-        assert quasi["1"] == pytest.approx(0.0, abs=1e-9)
+        assert quasi[0] == pytest.approx(1.0, abs=1e-9)
+        assert quasi[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_solve_oracle(self):
         # generic frequencies: solution must satisfy cal @ x = f exactly
         cal = ConfusionMatrix(FLIP_2PC, shots_per_column=1)
-        result = ShotResult({"0": 9600, "1": 400}, 10_000)
-        quasi = mitigate_counts(result, cal)
-        x = np.array([quasi["0"], quasi["1"]])
+        result = np.array([9600, 400])
+        x = mitigate_counts(result, cal)
         np.testing.assert_allclose(FLIP_2PC @ x, [0.96, 0.04], atol=1e-12)
         assert x[0] == pytest.approx((0.98 * 0.96 - 0.02 * 0.04) / (0.98**2 - 0.02**2), abs=1e-12)
 
     def test_quasi_distribution_sums_to_one(self):
         cal = ConfusionMatrix(FLIP_2PC, shots_per_column=1)
-        result = ShotResult({"0": 9990, "1": 10}, 10_000)
+        result = np.array([9990, 10])
         quasi = mitigate_counts(result, cal)
-        assert sum(quasi.values()) == pytest.approx(1.0, abs=1e-9)
-        assert quasi["1"] < 0.0  # negative quasi-probability kept, not clipped
+        assert quasi.sum() == pytest.approx(1.0, abs=1e-9)
+        assert quasi[1] < 0.0  # negative quasi-probability kept, not clipped
 
     def test_end_to_end_bias_removed_on_excited_state(self):
         noise = NoiseModel(0.02, 0.02)
         cal = calibrate(1, noise, shots=200_000, seed=5)
         result = measure_term(ansatz_1q(), [np.pi], Z0, 200_000, noise=noise, seed=6)
-        raw_mean, raw_stderr = -1.0 + 2 * result.counts.get("0", 0) / result.shots, None
-        mitigated = _parity_mean(mitigate_counts(result, cal), Z0)
+        raw_mean, raw_stderr = -1.0 + 2 * result[0] / result.sum(), None
+        mitigated = parity_signs(Z0) @ mitigate_counts(result, cal)
         assert abs(raw_mean - (-0.96)) < 0.01
         assert mitigated == pytest.approx(-1.0, abs=3 * np.sqrt(1.0 / 200_000) * 3)
 
@@ -93,11 +91,8 @@ class TestMitigateCounts:
         for seed, theta, true in ((11, 0.0, 1.0), (12, np.pi, -1.0)):
             cal = calibrate(1, noise, shots=shots, seed=seed)
             result = measure_term(ansatz_1q(), [theta], Z0, shots, noise=noise, seed=seed + 100)
-            raw, _ = (
-                sum((-1 if b == "1" else 1) * c for b, c in result.counts.items()) / shots,
-                None,
-            )
-            mitigated = _parity_mean(mitigate_counts(result, cal), Z0)
+            raw = (result[0] - result[1]) / shots
+            mitigated = parity_signs(Z0) @ mitigate_counts(result, cal)
             assert abs(mitigated - true) <= abs(raw - true) / 5.0
 
     def test_singular_calibration_reported(self):
@@ -105,12 +100,12 @@ class TestMitigateCounts:
 
         degenerate = ConfusionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]), shots_per_column=1)
         with pytest.raises(MitigationError):
-            mitigate_counts(ShotResult({"0": 1}, 1), degenerate)
+            mitigate_counts(np.array([1, 0]), degenerate)
 
     def test_dimension_mismatch(self):
         cal = ConfusionMatrix(np.eye(2), shots_per_column=1)
         with pytest.raises(ValueError):
-            mitigate_counts(ShotResult({"00": 1}, 1), cal)
+            mitigate_counts(np.array([1, 0, 0, 0]), cal)
 
 
 class TestConfusionMatrixValidation:
@@ -155,6 +150,31 @@ class TestCnotExtrapolate:
             cnot_extrapolate([(1, 1.0, 0.0)])
         with pytest.raises(ValueError):
             cnot_extrapolate([(1, 1.0, 0.0), (1, 0.9, 0.0)])
+
+    @pytest.mark.parametrize("p_cnot", [0.01, 0.05])
+    def test_linear_fold_bias_closed_form(self, p_cnot):
+        # ansatz_2q has 2 CNOTs, so fold f scales every non-identity mean m
+        # by lambda^(2f) and the fold-(1,3) line meets fold 0 at m (3 l^2 - l^6) / 2
+        from itertools import product
+
+        from lmgvqe import ansatz_2q, fold_cnots
+        from lmgvqe.simulator import _outcome_distribution
+
+        lam = 1.0 - 16.0 * p_cnot / 15.0
+        shrink = (3 * lam**2 - lam**6) / 2
+        rng = np.random.default_rng(7)
+        for labels in list(product("IXYZ", repeat=2))[1:]:
+            term = PauliString(labels)
+            params = rng.uniform(-np.pi, np.pi, 3)
+            mean = lambda fold, p: parity_signs(term) @ _outcome_distribution(
+                fold_cnots(ansatz_2q(), fold), params, term, NoiseModel(cnot_depolarizing=p)
+            )
+            extrapolated, _ = cnot_extrapolate([(f, mean(f, p_cnot), 0.0) for f in (1, 3)])
+            assert extrapolated == pytest.approx(mean(1, 0.0) * shrink, abs=1e-12)
+        if p_cnot == 0.01:
+            # relative bias at the default synthetic noise: small next to
+            # 20k-shot error bars, so linear extrapolation stays
+            assert 1 - shrink == pytest.approx(6.7e-4, abs=1e-5)
 
     def test_depolarizing_bias_removed_on_single_observable(self):
         # <Z0> under 1% CNOT depolarizing across a 10-point grid chosen so
