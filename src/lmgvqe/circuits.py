@@ -105,7 +105,7 @@ class Statevector:
         if len(amps) < 2 or 2**n != len(amps):
             raise ValueError(f"amplitude vector length {len(amps)} is not a power of two")
         norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # also rejects NaN
             raise ValueError(f"state not normalized: sum |a|^2 = {norm}")
 
     @property

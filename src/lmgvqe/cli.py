@@ -344,16 +344,7 @@ def _trace_doc(trace: RunTrace, config: ExperimentConfig, block: QuasispinBlock)
         "variance": trace.final.variance,
         "variance_stderr": trace.final.variance_stderr,
         "final_parameters": list(trace.final_parameters),
-        "iterations": [
-            {
-                "parameters": list(rec.parameters),
-                "energy": rec.energy,
-                "variance": rec.variance,
-                "energy_stderr": rec.energy_stderr,
-                "variance_stderr": rec.variance_stderr,
-            }
-            for rec in trace.iterations
-        ],
+        "iterations": [asdict(rec) for rec in trace.iterations],
     }
 
 

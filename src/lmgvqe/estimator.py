@@ -7,7 +7,8 @@ The optimization objective is the Hamiltonian variance
 which is non-negative and vanishes exactly on eigenstates.  <H> and <H^2>
 are assembled term by term from the Pauli decompositions of the block matrix
 and of its square; every non-identity term gets its own measurement circuit,
-while identity terms contribute their coefficients exactly.
+while identity terms contribute their coefficients exactly.  Both sums
+carry their term tables (``PauliSum.measured_arrays``), built once each.
 
 ``shots=None`` selects exact (infinite-shot) expectation values from the
 statevector; any positive integer selects sampled estimation.  A term's
@@ -24,13 +25,12 @@ where the second part is the noise of each calibrated column j
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .circuits import Circuit, Statevector, fold_cnots, run
 from .mitigation import ConfusionMatrix, Mitigation, calibrate, cnot_extrapolate, mitigate_counts
-from .pauli import PauliString, PauliSum, _dense, multiply, string_matrix
+from .pauli import PauliString, PauliSum
 from .simulator import NOISELESS, NoiseModel, _checked_counts, measure_term, parity_signs
 
 __all__ = ["EstimationResult", "expectation_exact", "expectation_from_counts", "estimate"]
@@ -53,33 +53,11 @@ class EstimationResult:
     mitigation_applied: Mitigation = field(default_factory=Mitigation)
 
 
-@lru_cache(maxsize=64)
-def _term_arrays(psum: PauliSum):
-    """Identity offset, measured-term coefficients and stacked term matrices."""
-    const = float(psum.identity_coefficient)
-    measured = psum.measured_terms
-    betas = np.array([c for c, _ in measured], dtype=float)
-    strings = tuple(s for _, s in measured)
-    stack = (
-        np.stack([string_matrix(s) for s in strings])
-        if strings
-        else np.zeros((0, 2**psum.num_qubits, 2**psum.num_qubits), dtype=complex)
-    )
-    return const, betas, strings, stack
-
-
-@lru_cache(maxsize=64)
-def _verify_square_pair(h: PauliSum, h2: PauliSum) -> bool:
-    product = multiply(h, h)
-    by_string = {s: c for c, s in product.terms}
-    for coeff, string in h2.terms:
-        ref = by_string.pop(string, 0.0)
-        if abs(coeff - ref) > SQUARE_CHECK_TOL * max(1.0, abs(ref)):
-            raise ValueError(f"h2 is not the square of h: term {string} is {coeff}, expected {ref}")
-    for string, ref in by_string.items():
-        if abs(ref) > SQUARE_CHECK_TOL:
-            raise ValueError(f"h2 is not the square of h: missing term {string} = {ref}")
-    return True
+def _verify_square_pair(h: PauliSum, h2: PauliSum) -> None:
+    square = h.matrix @ h.matrix
+    error = np.abs(h2.matrix - square).max()
+    if not error <= SQUARE_CHECK_TOL * max(1.0, np.abs(square).max()):  # also rejects NaN
+        raise ValueError(f"h2 is not the square of h: dense matrices differ by {error:.3g}")
 
 
 def expectation_exact(state: Statevector, observable: PauliSum) -> float:
@@ -89,16 +67,15 @@ def expectation_exact(state: Statevector, observable: PauliSum) -> float:
         raise ValueError(
             f"observable acts on {observable.num_qubits} qubits, state has {state.num_qubits}"
         )
-    return float(np.vdot(amps, _dense(observable) @ amps).real)
+    return float(np.vdot(amps, observable.matrix @ amps).real)
 
 
-def _exact_term_means(state: Statevector, psum: PauliSum):
-    const, betas, strings, stack = _term_arrays(psum)
-    amps = state.amplitudes
+def _exact_term_means(state: Statevector, psum: PauliSum) -> np.ndarray:
+    _, _, strings, stack = psum.measured_arrays
     if len(strings) == 0:
-        return const, betas, strings, np.zeros(0)
-    means = np.einsum("i,tij,j->t", amps.conj(), stack, amps).real
-    return const, betas, strings, means
+        return np.zeros(0)
+    amps = state.amplitudes
+    return np.einsum("i,tij,j->t", amps.conj(), stack, amps).real
 
 
 def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal: ConfusionMatrix | None):
@@ -138,64 +115,11 @@ def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.nda
     return value, stderr
 
 
-def _assemble(energy, energy_stderr, h_sq, h_sq_stderr, per_term, shots, mitigation):
-    variance = h_sq - energy**2
-    variance_stderr = float(np.sqrt(h_sq_stderr**2 + 4.0 * energy**2 * energy_stderr**2))
-    return EstimationResult(
-        energy=energy,
-        energy_stderr=energy_stderr,
-        h_squared=h_sq,
-        h_squared_stderr=h_sq_stderr,
-        variance=variance,
-        variance_stderr=variance_stderr,
-        per_term=tuple(per_term),
-        shots=shots,
-        mitigation_applied=mitigation,
-    )
-
-
-def estimate(
-    circuit: Circuit,
-    parameters,
-    h: PauliSum,
-    h2: PauliSum,
-    shots: int | None = None,
-    noise: NoiseModel = NOISELESS,
-    mitigation: Mitigation | None = None,
-    seed=0,
-) -> EstimationResult:
-    """Estimate <H>, <H^2> and the variance at one parameter point.
-
-    ``h2`` must be the operator square of ``h``; this is verified once per
-    (h, h2) pair against the symbolic Pauli product.  Sampled variances may
-    come out slightly negative because <H> and <H^2> are estimated from
-    independent shot batches.
-    """
-    mitigation = mitigation or Mitigation()
-    if h.num_qubits != circuit.num_qubits or h2.num_qubits != circuit.num_qubits:
-        raise ValueError("Hamiltonian and circuit qubit counts differ")
-    _verify_square_pair(h, h2)
-    parameters = tuple(float(p) for p in parameters)
-
-    if shots is None:
-        state = run(circuit, parameters)
-        const_h, betas_h, strings_h, means_h = _exact_term_means(state, h)
-        const_2, betas_2, strings_2, means_2 = _exact_term_means(state, h2)
-        energy, _ = _combine(const_h, betas_h, means_h, np.zeros_like(means_h))
-        h_sq, _ = _combine(const_2, betas_2, means_2, np.zeros_like(means_2))
-        per_term = [(s, float(m), 0.0) for s, m in zip(strings_h, means_h)]
-        per_term += [(s, float(m), 0.0) for s, m in zip(strings_2, means_2)]
-        return _assemble(energy, 0.0, h_sq, 0.0, per_term, None, mitigation)
-
-    if shots < 1:
-        raise ValueError("shots must be positive (or None for exact mode)")
-
+def _sampled_term_means(circuit, parameters, all_strings, shots, noise, mitigation, seed):
+    """Means and standard errors of every measured term from seeded shots,
+    readout-corrected and CNOT-extrapolated as ``mitigation`` asks."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     folds = mitigation.folds if mitigation.cnot else (1,)
-    terms_h = h.measured_terms
-    terms_2 = h2.measured_terms
-    all_strings = [s for _, s in terms_h] + [s for _, s in terms_2]
-
     n_streams = (1 if mitigation.readout else 0) + len(folds) * len(all_strings)
     streams = iter(ss.spawn(n_streams))
     cal = None
@@ -220,19 +144,62 @@ def estimate(
         means, stderrs = np.array(combined).reshape(-1, 2).T.copy()
     else:
         means, stderrs = means[0], stderrs[0]
+    return means, stderrs
 
-    split = len(terms_h)
-    energy, energy_stderr = _combine(
-        float(h.identity_coefficient),
-        np.array([c for c, _ in terms_h], dtype=float),
-        means[:split],
-        stderrs[:split],
+
+def estimate(
+    circuit: Circuit,
+    parameters,
+    h: PauliSum,
+    h2: PauliSum,
+    shots: int | None = None,
+    noise: NoiseModel = NOISELESS,
+    mitigation: Mitigation | None = None,
+    seed=0,
+) -> EstimationResult:
+    """Estimate <H>, <H^2> and the variance at one parameter point.
+
+    ``h2`` must be the operator square of ``h``; their dense matrices are
+    compared on every call.  Sampled variances may come out slightly
+    negative because <H> and <H^2> are estimated from independent shot
+    batches.
+    """
+    mitigation = mitigation or Mitigation()
+    if h.num_qubits != circuit.num_qubits or h2.num_qubits != circuit.num_qubits:
+        raise ValueError("Hamiltonian and circuit qubit counts differ")
+    _verify_square_pair(h, h2)
+    parameters = tuple(float(p) for p in parameters)
+
+    const_h, betas_h, strings_h, _ = h.measured_arrays
+    const_2, betas_2, strings_2, _ = h2.measured_arrays
+    all_strings = strings_h + strings_2
+    if shots is None:
+        # an array per sum: betas @ means over a slice of one joined array
+        # can differ in the last bit
+        state = run(circuit, parameters)
+        means_h, means_2 = _exact_term_means(state, h), _exact_term_means(state, h2)
+        stderrs_h, stderrs_2 = np.zeros_like(means_h), np.zeros_like(means_2)
+    elif shots < 1:
+        raise ValueError("shots must be positive (or None for exact mode)")
+    else:
+        means, stderrs = _sampled_term_means(
+            circuit, parameters, all_strings, shots, noise, mitigation, seed
+        )
+        means_h, means_2 = np.split(means, [len(strings_h)])
+        stderrs_h, stderrs_2 = np.split(stderrs, [len(strings_h)])
+    energy, energy_stderr = _combine(const_h, betas_h, means_h, stderrs_h)
+    h_sq, h_sq_stderr = _combine(const_2, betas_2, means_2, stderrs_2)
+    per_term = zip(
+        all_strings, means_h.tolist() + means_2.tolist(), stderrs_h.tolist() + stderrs_2.tolist()
     )
-    h_sq, h_sq_stderr = _combine(
-        float(h2.identity_coefficient),
-        np.array([c for c, _ in terms_2], dtype=float),
-        means[split:],
-        stderrs[split:],
+    return EstimationResult(
+        energy=energy,
+        energy_stderr=energy_stderr,
+        h_squared=h_sq,
+        h_squared_stderr=h_sq_stderr,
+        variance=h_sq - energy**2,
+        variance_stderr=float(np.sqrt(h_sq_stderr**2 + 4.0 * energy**2 * energy_stderr**2)),
+        per_term=tuple(per_term),
+        shots=shots,
+        mitigation_applied=mitigation,
     )
-    per_term = [(s, float(m), float(e)) for s, m, e in zip(all_strings, means, stderrs)]
-    return _assemble(energy, energy_stderr, h_sq, h_sq_stderr, per_term, shots, mitigation)

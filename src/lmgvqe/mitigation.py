@@ -55,10 +55,6 @@ class Mitigation:
             if any(f < 1 or f % 2 == 0 for f in self.folds):
                 raise ValueError(f"folds must be odd positive integers, got {self.folds}")
 
-    @property
-    def any_active(self) -> bool:
-        return self.readout or self.cnot
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:

@@ -23,7 +23,7 @@ from .analysis import eigensolve
 from .circuits import Circuit, run
 from .estimator import EstimationResult, estimate
 from .mitigation import Mitigation
-from .pauli import PauliSum, _dense, reconstruct
+from .pauli import PauliSum
 from .simulator import NOISELESS, NoiseModel
 
 __all__ = [
@@ -303,7 +303,7 @@ def accidental_zero_check(
     because the underlying state is not close to any eigenvector.
     """
     state = run(circuit, parameters).amplitudes
-    matrix = _dense(h)
+    matrix = h.matrix
     energy = float(np.vdot(state, matrix @ state).real)
     residual = float(np.linalg.norm(matrix @ state - energy * state))
     return residual < tolerance, residual
@@ -388,7 +388,7 @@ def discover_spectrum(
             residual=residual,
         ))
 
-    oracle = eigensolve(reconstruct(h))
+    oracle = eigensolve(h.matrix)
     matched = sum(_matching_cluster(clusters, value) is not None for value in oracle.eigenvalues)
     coverage = matched / len(oracle.eigenvalues)
     return SpectrumReport(

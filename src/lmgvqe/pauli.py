@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -75,11 +75,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return all(l == "I" for l in self.labels)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return sum(l != "I" for l in self.labels)
-
     def index(self) -> int:
         """Base-4 code of the string with qubit 0 as the leading digit."""
         code = 0
@@ -123,7 +118,9 @@ class PauliSum:
     """Weighted sum of Pauli strings on a fixed qubit register.
 
     Coefficients are real for Hermitian operators; operator products
-    (see :func:`multiply`) may carry complex weights.
+    (see :func:`multiply`) may carry complex weights.  Derived data (the
+    dense matrix and the measured-term arrays) is built on first use and
+    kept on the instance; equality and hashing still see only the fields.
     """
 
     terms: tuple[tuple[float | complex, PauliString], ...]
@@ -164,14 +161,41 @@ class PauliSum:
                 return coeff
         return 0.0
 
-    @property
+    @cached_property
     def identity_coefficient(self) -> float | complex:
         return self.coefficient(identity_string(self.num_qubits))
 
-    @property
+    @cached_property
     def measured_terms(self) -> tuple[tuple[float | complex, PauliString], ...]:
         """Terms that require a measurement circuit (every non-identity one)."""
         return tuple((c, s) for c, s in self.terms if not s.is_identity)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix, read-only; :func:`reconstruct` returns a copy."""
+        dim = 2**self.num_qubits
+        out = np.zeros((dim, dim), dtype=complex)
+        for coeff, string in self.terms:
+            out += coeff * string_matrix(string)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def measured_arrays(self):
+        """Identity offset, measured-term coefficients, their strings and
+        their stacked matrices of shape (terms, 2^m, 2^m); arrays read-only."""
+        const = float(self.identity_coefficient)
+        betas = np.array([c for c, _ in self.measured_terms], dtype=float)
+        strings = tuple(s for _, s in self.measured_terms)
+        dim = 2**self.num_qubits
+        stack = (
+            np.stack([string_matrix(s) for s in strings])
+            if strings
+            else np.zeros((0, dim, dim), dtype=complex)
+        )
+        betas.setflags(write=False)
+        stack.setflags(write=False)
+        return const, betas, strings, stack
 
     def to_text(self, digits: int = 9) -> str:
         """One term per line, ``<coeff> <string>``."""
@@ -224,6 +248,8 @@ def decompose(matrix: np.ndarray) -> PauliSum:
     num_qubits = int(round(np.log2(dim)))
     if dim < 2 or 2**num_qubits != dim:
         raise ValueError(f"matrix dimension {dim} is not a power of two >= 2")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix has non-finite entries")
     if np.abs(matrix - matrix.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
     terms = []
@@ -234,19 +260,9 @@ def decompose(matrix: np.ndarray) -> PauliSum:
     return PauliSum(tuple(terms), num_qubits)
 
 
-@lru_cache(maxsize=64)
-def _dense(psum: PauliSum) -> np.ndarray:
-    dim = 2**psum.num_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in psum.terms:
-        out += coeff * string_matrix(string)
-    out.setflags(write=False)
-    return out
-
-
 def reconstruct(psum: PauliSum) -> np.ndarray:
     """Dense matrix of a Pauli sum; inverse of :func:`decompose`."""
-    return _dense(psum).copy()
+    return psum.matrix.copy()
 
 
 def multiply(a: PauliSum, b: PauliSum) -> PauliSum:

@@ -45,6 +45,9 @@ class ModelParams:
     def __post_init__(self):
         if int(self.n_particles) != self.n_particles or self.n_particles < 1:
             raise ValueError(f"n_particles must be a positive integer, got {self.n_particles}")
+        for name in ("eps", "v", "w"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
 

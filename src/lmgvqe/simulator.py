@@ -64,10 +64,6 @@ class NoiseModel:
     def has_readout_error(self) -> bool:
         return self.readout_p01 > 0.0 or self.readout_p10 > 0.0
 
-    @property
-    def is_noiseless(self) -> bool:
-        return not self.has_readout_error and self.cnot_depolarizing == 0.0
-
     def readout_only(self) -> "NoiseModel":
         return NoiseModel(self.readout_p01, self.readout_p10, 0.0)
 

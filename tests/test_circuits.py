@@ -33,6 +33,13 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError):
             Statevector(np.array([1.0, 0.0, 0.0]))
 
+    def test_statevector_rejects_nan(self):
+        # abs(nan - 1) > tol is False, so a NaN norm passed the check
+        with pytest.raises(ValueError, match="normalized"):
+            Statevector(np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError, match="normalized"):
+            run(ansatz_1q(), [np.nan])
+
 
 class TestAnsatz1q:
     def test_structure(self):

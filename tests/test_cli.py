@@ -188,6 +188,12 @@ class TestConfigHandling:
         assert main(["minimize", "--n", "3", "--noise-readout", "1.5"]) == 2
         assert main(["spectrum", "--n", "3", "--mitigate", "zne"]) == 2
 
+    def test_non_finite_values_exit_2(self, capsys):
+        assert main(["spectrum", "--n", "3", "--eps", "nan"]) == 2
+        assert main(["spectrum", "--n", "3", "--v", "inf"]) == 2
+        assert main(["sweep", "--n", "7", "--block", "A", "--fixed", "0,nan,0"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_readout_flips_summing_to_one_exit_2(self, capsys):
         # a singular confusion matrix cannot be inverted by --mitigate readout
         args = ["minimize", "--n", "3", "--shots", "20", "--noise-readout", "0.5",

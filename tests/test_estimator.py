@@ -95,6 +95,15 @@ class TestExactEstimate:
         with pytest.raises(ValueError):
             estimate(ansatz_1q(), [0.0], n3_a.h, n3_b.h2)
 
+        def scaled_first_term(factor):
+            (c, s), *rest = n3_a.h2.terms
+            return PauliSum(((c * factor, s), *rest), n3_a.h2.num_qubits)
+
+        with pytest.raises(ValueError, match="not the square"):
+            estimate(ansatz_1q(), [0.0], n3_a.h, scaled_first_term(1 + 1e-6))
+        result = estimate(ansatz_1q(), [0.0], n3_a.h, scaled_first_term(1 + 1e-12))
+        assert result.variance == pytest.approx(0.75, abs=1e-9)
+
     def test_constant_hamiltonian(self):
         const = PauliSum.from_terms([(0.7, PauliString(("I",)))], 1)
         const_sq = PauliSum.from_terms([(0.49, PauliString(("I",)))], 1)

@@ -218,5 +218,4 @@ class TestMitigationFlags:
 
     def test_defaults(self):
         flags = Mitigation()
-        assert not flags.any_active
         assert flags.folds == (1, 3)

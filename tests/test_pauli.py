@@ -80,10 +80,33 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite(self):
+        # abs(nan) >= threshold is False, so NaN weights were pruned silently
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(np.diag([1.0, np.inf]))
+
 
 class TestReconstruct:
     def test_inverts_n3_encoding(self, n3_a):
         np.testing.assert_allclose(reconstruct(n3_a.h), n3_a.block.matrix, atol=1e-7)
+
+    def test_matrix_is_built_once_and_read_only(self, n3_a):
+        assert n3_a.h.matrix is n3_a.h.matrix
+        assert not n3_a.h.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            n3_a.h.matrix[0, 0] = 1.0
+        _, betas, _, stack = n3_a.h.measured_arrays
+        assert n3_a.h.measured_arrays is n3_a.h.measured_arrays
+        assert not betas.flags.writeable and not stack.flags.writeable
+
+    def test_returns_writeable_copy(self, n3_a):
+        dense = reconstruct(n3_a.h)
+        assert dense.flags.writeable
+        assert not np.shares_memory(dense, n3_a.h.matrix)
+        dense[0, 0] += 1.0
+        np.testing.assert_allclose(n3_a.h.matrix, n3_a.block.matrix, atol=1e-7)
 
     def test_empty_sum_is_zero(self):
         psum = PauliSum((), num_qubits=2)

@@ -61,6 +61,11 @@ class TestBuildBlocks:
         np.testing.assert_allclose(np.diag(a.matrix), [-3.5, -1.5, 0.5, 2.5], atol=1e-12)
         np.testing.assert_allclose(np.diag(a.matrix, 1), N7_OFFDIAG, atol=1e-12)
 
+    def test_rejects_non_finite_parameters(self):
+        for kwargs in ({"eps": np.nan}, {"v": np.inf}, {"w": -np.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(3, **kwargs)
+
     def test_n1_blocks_are_scalar(self):
         a, b = build_blocks(ModelParams(1, v=0.5))
         np.testing.assert_allclose(a.matrix, [[-0.5]])
