@@ -41,6 +41,7 @@ from .simulator import (
     NOISELESS,
     NoiseModel,
     measure_term,
+    outcome_distributions,
     parity_signs,
 )
 
@@ -51,7 +52,7 @@ __all__ = [
     "PauliString", "PauliSum", "decompose", "reconstruct", "multiply",
     "Gate", "Circuit", "Statevector", "ansatz_1q", "ansatz_2q", "run", "fold_cnots",
     "NoiseModel", "NOISELESS", "DEFAULT_SYNTHETIC_NOISE",
-    "measure_term", "parity_signs", "expectation_from_counts",
+    "outcome_distributions", "measure_term", "parity_signs", "expectation_from_counts",
     "Mitigation", "MitigationError", "ConfusionMatrix",
     "calibrate", "mitigate_counts", "cnot_extrapolate",
     "EstimationResult", "estimate", "expectation_exact",

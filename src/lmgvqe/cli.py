@@ -98,6 +98,8 @@ class ExperimentConfig:
         unknown = set(self.mitigate) - {"readout", "cnot"}
         if unknown:
             raise ConfigError(f"unknown mitigation scheme(s): {sorted(unknown)}")
+        if self.shots is None and (self.noise_readout or self.noise_cnot or self.mitigate):
+            raise ConfigError("exact mode (shots 'exact') takes no noise and no mitigation")
 
     def model_params(self) -> ModelParams:
         try:

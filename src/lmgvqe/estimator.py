@@ -10,8 +10,11 @@ and of its square; every non-identity term gets its own measurement circuit,
 while identity terms contribute their coefficients exactly.  Both sums
 carry their term tables (``PauliSum.measured_arrays``), built once each.
 
-``shots=None`` selects exact (infinite-shot) expectation values from the
-statevector; any positive integer selects sampled estimation.  A term's
+``shots=None`` selects exact (infinite-shot) noiseless expectation values
+from the statevector and rejects any noise or mitigation; any positive
+integer selects sampled estimation.  Each CNOT fold prepares its state
+once into a table of outcome distributions (``outcome_distributions``),
+from which every term draws its own seeded shots.  A term's
 mean is s . q for its parity signs s and q = A^-1 f, the frequencies f
 corrected by the readout calibration A (A = I without one).  As a weighted
 count w . f with w = A^-T s, its first-order variance is
@@ -31,7 +34,9 @@ import numpy as np
 from .circuits import Circuit, Statevector, fold_cnots, run
 from .mitigation import ConfusionMatrix, Mitigation, calibrate, cnot_extrapolate, mitigate_counts
 from .pauli import PauliString, PauliSum
-from .simulator import NOISELESS, NoiseModel, _checked_counts, measure_term, parity_signs
+from .simulator import (
+    NOISELESS, NoiseModel, _checked_counts, measure_term, outcome_distributions, parity_signs,
+)
 
 __all__ = ["EstimationResult", "expectation_exact", "expectation_from_counts", "estimate"]
 
@@ -79,12 +84,12 @@ def _exact_term_means(state: Statevector, psum: PauliSum) -> np.ndarray:
 
 
 def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal: ConfusionMatrix | None):
-    """Means and standard errors of T terms from their counts and parity
-    signs, both of shape (T, 2^n), by the weighted-count formula of the
-    module docstring."""
+    """Means and standard errors of T terms from their counts, of shape
+    (..., T, 2^n), and parity signs, of shape (T, 2^n), by the
+    weighted-count formula of the module docstring."""
     shots = counts.sum(axis=-1)
     if cal is None:
-        q, w, cal_var = counts / shots[:, None], signs, 0.0
+        q, w, cal_var = counts / shots[..., None], signs, 0.0
     else:
         q = mitigate_counts(counts, cal)
         w = np.linalg.solve(cal.matrix.T, signs.T).T
@@ -129,22 +134,15 @@ def _sampled_term_means(circuit, parameters, all_strings, shots, noise, mitigati
 
     # reshape keeps the (terms, outcomes) shape when no term is measured
     signs = np.array([parity_signs(s) for s in all_strings]).reshape(-1, 2**circuit.num_qubits)
-    by_fold = []
+    counts = []
     for fold in folds:
-        folded = fold_cnots(circuit, fold)
-        counts = np.array([
-            measure_term(folded, parameters, string, shots, noise, next(streams))
-            for string in all_strings
-        ]).reshape(signs.shape)
-        by_fold.append(_term_estimates(counts, signs, cal))
-    means, stderrs = np.array(by_fold).transpose(1, 0, 2)  # each (folds, terms)
+        table = outcome_distributions(fold_cnots(circuit, fold), parameters, all_strings, noise)
+        counts.append([measure_term(row, shots, next(streams)) for row in table])
+    counts = np.array(counts).reshape(len(folds), *signs.shape)
+    means, stderrs = _term_estimates(counts, signs, cal)  # each (folds, terms)
     if len(folds) > 1:
-        combined = [cnot_extrapolate(zip(folds, m, e)) for m, e in zip(means.T, stderrs.T)]
-        # contiguous copies keep the summation order of betas @ means in _combine
-        means, stderrs = np.array(combined).reshape(-1, 2).T.copy()
-    else:
-        means, stderrs = means[0], stderrs[0]
-    return means, stderrs
+        return cnot_extrapolate(zip(folds, means, stderrs))
+    return means[0], stderrs[0]
 
 
 def estimate(
@@ -174,6 +172,8 @@ def estimate(
     const_2, betas_2, strings_2, _ = h2.measured_arrays
     all_strings = strings_h + strings_2
     if shots is None:
+        if noise != NOISELESS or mitigation.readout or mitigation.cnot:
+            raise ValueError("exact mode (shots=None) models no noise and applies no mitigation")
         # an array per sum: betas @ means over a slice of one joined array
         # can differ in the last bit
         state = run(circuit, parameters)

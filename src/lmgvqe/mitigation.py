@@ -1,11 +1,12 @@
 """Error mitigation: confusion-matrix readout correction and CNOT folding.
 
-Readout correction calibrates a column-stochastic confusion matrix A, whose
-column j holds the read frequencies after preparing basis state j with X
-gates, then solves A q = f to turn measured frequencies f into a
-quasi-probability distribution q for the uncorrupted outcomes.  CNOT
-mitigation re-measures with every CNOT replaced by an odd number of copies
-and extrapolates linearly to the zero-CNOT limit.
+Readout correction calibrates a column-stochastic confusion matrix A, then
+solves A q = f to turn measured frequencies f into a quasi-probability
+distribution q for the uncorrupted outcomes.  Column j holds the read
+frequencies of basis state j: one seeded draw from its exact distribution
+under readout noise, column j of the readout channel's Kronecker product.
+CNOT mitigation re-measures with every CNOT replaced by an odd number of
+copies and extrapolates every term linearly to the zero-CNOT limit.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate
-from .pauli import identity_string
-from .simulator import NoiseModel, _checked_counts, measure_term
+from .simulator import NoiseModel, _checked_counts, _readout_matrix, measure_term
 
 __all__ = [
     "Mitigation",
@@ -80,10 +79,10 @@ class ConfusionMatrix:
 
 
 def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> ConfusionMatrix:
-    """Measure all 2^n basis-state preparation circuits under readout noise.
+    """Measure all 2^n basis states under the readout noise of ``noise``.
 
-    Column j comes from the circuit that applies an X gate on every qubit
-    set in bitstring j (2 circuits for one qubit, 4 for two).
+    Column j holds the frequencies of ``shots`` draws from the outcome
+    distribution of basis state j, one seeded stream per column.
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be positive")
@@ -91,19 +90,10 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
         raise ValueError("shots must be positive")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = ss.spawn(2**num_qubits)
-    dim = 2**num_qubits
-    matrix = np.zeros((dim, dim))
-    term = identity_string(num_qubits)
-    for j in range(dim):
-        gates = tuple(
-            Gate("x", target=q)
-            for q in range(num_qubits)
-            if (j >> (num_qubits - 1 - q)) & 1
-        )
-        matrix[:, j] = measure_term(
-            Circuit(num_qubits, gates), (), term, shots,
-            noise=noise.readout_only(), seed=seeds[j],
-        ) / shots
+    readout = _readout_matrix(noise, num_qubits)
+    matrix = np.zeros_like(readout)
+    for j, column_seed in enumerate(seeds):
+        matrix[:, j] = measure_term(readout[:, j], shots, column_seed) / shots
     return ConfusionMatrix(matrix=matrix, shots_per_column=shots)
 
 
@@ -122,29 +112,35 @@ def mitigate_counts(counts, cal: ConfusionMatrix) -> np.ndarray:
         raise MitigationError("calibration matrix is singular; counts are unmitigable") from exc
 
 
-def cnot_extrapolate(values) -> tuple[float, float]:
+def cnot_extrapolate(values):
     """Extrapolate (fold, estimate, stderr) points linearly to fold = 0.
 
     For the two-point case (1, v1, s1), (3, v3, s3) this reduces to
     (3 v1 - v3) / 2 with standard error sqrt(9 s1^2 + s3^2) / 2.  With more
     points a least-squares line is fitted, weighted by 1/stderr^2 whenever
-    all standard errors are positive.
+    all standard errors are positive.  Estimates and stderrs may be arrays
+    of one shape; each element is then extrapolated on its own and two
+    arrays of that shape come back, otherwise two floats.
     """
-    values = [(int(f), float(v), float(s)) for f, v, s in values]
+    values = list(values)
     if len(values) < 2:
         raise ValueError("need at least two fold points to extrapolate")
-    folds = [f for f, _, _ in values]
+    folds = [int(f) for f, _, _ in values]
     if len(set(folds)) != len(folds):
         raise ValueError(f"duplicate folds in {folds}")
+    shape = np.shape(values[0][1])
+    points = np.array([(v, e) for _, v, e in values], dtype=float).reshape(len(values), 2, -1)
+    y, s = np.ascontiguousarray(points.transpose(1, 2, 0))  # each (elements, folds)
     x = np.array(folds, dtype=float)
-    y = np.array([v for _, v, _ in values])
-    s = np.array([e for _, _, e in values])
-
-    weights = 1.0 / s**2 if np.all(s > 0) else np.ones_like(s)
+    positive = np.all(s > 0, axis=1, keepdims=True)  # else unweighted; no 1/0 is formed
+    weights = np.where(positive, 1.0 / np.where(positive, s, 1.0) ** 2, 1.0)
     design = np.column_stack([np.ones_like(x), x])
-    wd = design * weights[:, None]
-    coeff_map = np.linalg.solve(design.T @ wd, wd.T)  # beta = coeff_map @ y
-    intercept_weights = coeff_map[0]
-    estimate = float(intercept_weights @ y)
-    stderr = float(np.sqrt(np.sum((intercept_weights * s) ** 2)))
-    return estimate, stderr
+    wd = design * weights[:, :, None]
+    coeff_map = np.linalg.solve(design.T @ wd, wd.transpose(0, 2, 1))  # beta = coeff_map @ y
+    intercept_weights = coeff_map[:, 0]
+    # one dot product per element, so arrays round as scalar calls do
+    estimate = (intercept_weights[:, None, :] @ y[:, :, None])[:, 0, 0]
+    stderr = np.sqrt(((intercept_weights * s) ** 2).sum(axis=-1))
+    if shape == ():
+        return float(estimate[0]), float(stderr[0])
+    return estimate.reshape(shape), stderr.reshape(shape)

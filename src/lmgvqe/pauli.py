@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -138,13 +139,16 @@ class PauliSum:
 
     @classmethod
     def from_terms(cls, terms, num_qubits: int) -> "PauliSum":
-        """Combine duplicates, prune near-zero weights, sort canonically."""
+        """Combine duplicates, prune near-zero weights, sort canonically;
+        a NaN or infinite combined weight raises ValueError."""
         acc: dict[PauliString, complex] = {}
         for coeff, string in terms:
             acc[string] = acc.get(string, 0.0) + complex(coeff)
         cleaned = []
         for string in sorted(acc, key=PauliString.index):
             c = acc[string]
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite weight {c} on {string}")
             if abs(c) < PRUNE_THRESHOLD:
                 continue
             cleaned.append((c.real if abs(c.imag) < PRUNE_THRESHOLD else c, string))

@@ -1,10 +1,13 @@
 """Shot-based measurement of Pauli strings with optional noise.
 
-One measurement circuit per Pauli term: the ansatz circuit is followed by a
-basis-change rotation on every qubit where the term acts with X or Y, then
-all qubits are read out in the computational basis.  The noisy outcome
-distribution is computed exactly and sampled with a single multinomial
-draw.  Each CNOT is followed, with probability ``cnot_depolarizing``, by a
+Each Pauli term is measured with its own circuit: the ansatz circuit is
+followed by a basis-change rotation on every qubit where the term acts with
+X or Y, then all qubits are read out in the computational basis.
+``outcome_distributions`` computes the exact noisy outcome distribution of
+every term's measurement circuit as one table: the ansatz state is prepared
+once and rotated once per distinct basis.  ``measure_term`` samples one row
+with a single multinomial draw, so every term still gets its own seeded
+shots.  Each CNOT is followed, with probability ``cnot_depolarizing``, by a
 uniformly random non-identity two-qubit Pauli; on the supported registers
 (at most two qubits) this is global depolarizing, so after k CNOTs the
 ideal distribution p becomes lambda^k p + (1 - lambda^k) / 2^n with
@@ -30,12 +33,14 @@ from .pauli import PauliString
 __all__ = [
     "NoiseModel",
     "measure_term",
+    "outcome_distributions",
     "parity_signs",
 ]
 
 # maps the +1 eigenbasis of X (resp. Y) onto the computational basis
 _X_BASIS_CHANGE = ry_matrix(-np.pi / 2.0)
 _Y_BASIS_CHANGE = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2.0)  # RX(pi/2)
+_BASIS_CHANGES = {"X": _X_BASIS_CHANGE, "Y": _Y_BASIS_CHANGE}
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,6 @@ class NoiseModel:
     def has_readout_error(self) -> bool:
         return self.readout_p01 > 0.0 or self.readout_p10 > 0.0
 
-    def readout_only(self) -> "NoiseModel":
-        return NoiseModel(self.readout_p01, self.readout_p10, 0.0)
-
 
 NOISELESS = NoiseModel()
 
@@ -75,61 +77,59 @@ NOISELESS = NoiseModel()
 DEFAULT_SYNTHETIC_NOISE = NoiseModel(readout_p01=0.02, readout_p10=0.02, cnot_depolarizing=0.01)
 
 
-def _outcome_distribution(
-    circuit: Circuit, parameters, term: PauliString, noise: NoiseModel
-) -> np.ndarray:
-    """Exact distribution of read outcomes for the measurement circuit of a term.
+def _readout_matrix(noise: NoiseModel, num_qubits: int) -> np.ndarray:
+    """Kron product of the 2x2 confusion matrices: P(read i | outcome j) at (i, j)."""
+    p01, p10 = noise.readout_p01, noise.readout_p10
+    confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+    return reduce(np.kron, [confusion] * num_qubits)
 
-    The closed-form CNOT channel (module docstring) needs every CNOT to touch
-    the whole register, so it commutes with every later gate.
-    """
+
+def outcome_distributions(
+    circuit: Circuit, parameters, terms, noise: NoiseModel = NOISELESS
+) -> np.ndarray:
+    """Exact read-outcome distribution of each term's measurement circuit,
+    shape (len(terms), 2^n).  The state is prepared once and rotated once
+    per distinct basis (the X/Y positions of a term).  The closed-form CNOT
+    channel (module docstring) needs every CNOT to touch the whole register,
+    so it commutes with every later gate."""
     n = circuit.num_qubits
+    if any(term.num_qubits != n for term in terms):
+        raise ValueError(f"every term must act on the circuit's {n} qubits")
+    rows = np.empty((len(terms), 2**n))
+    if not len(rows):  # nothing to measure, so no state to prepare
+        return rows
+    survival = (1.0 - 16.0 * noise.cnot_depolarizing / 15.0) ** circuit.num_cnots
+    if survival < 1.0 and n > 2:
+        raise ValueError(f"CNOT noise is only modelled on registers of at most 2 qubits, got {n}")
+    readout = _readout_matrix(noise, n) if noise.has_readout_error else None
     amps = run(circuit, parameters).amplitudes
-    for q, label in enumerate(term.labels):
-        if label == "X":
-            amps = apply_single_qubit(amps, n, q, _X_BASIS_CHANGE)
-        elif label == "Y":
-            amps = apply_single_qubit(amps, n, q, _Y_BASIS_CHANGE)
-    p = np.abs(amps) ** 2
-    p /= p.sum()
-    k = circuit.num_cnots
-    if noise.cnot_depolarizing > 0.0 and k:
-        if n > 2:
-            raise ValueError(
-                f"CNOT noise is only modelled on registers of at most 2 qubits, got {n}"
-            )
-        survival = (1.0 - 16.0 * noise.cnot_depolarizing / 15.0) ** k
-        p = survival * p + (1.0 - survival) / p.size
-    if noise.has_readout_error:
-        p01, p10 = noise.readout_p01, noise.readout_p10
-        confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-        p = reduce(np.kron, [confusion] * n) @ p
-    return p
+    by_basis = {}
+    for row, term in zip(rows, terms):
+        basis = tuple(label if label in "XY" else "Z" for label in term.labels)
+        if basis not in by_basis:
+            rotated = amps
+            for q, label in enumerate(basis):
+                if label != "Z":
+                    rotated = apply_single_qubit(rotated, n, q, _BASIS_CHANGES[label])
+            p = np.abs(rotated) ** 2
+            p /= p.sum()
+            p = survival * p + (1.0 - survival) / p.size  # leaves p as is at survival 1
+            # one vector at a time: a batched product may round differently
+            by_basis[basis] = p if readout is None else readout @ p
+        row[:] = by_basis[basis]
+    return rows
 
 
-def measure_term(
-    circuit: Circuit,
-    parameters,
-    term: PauliString,
-    shots: int,
-    noise: NoiseModel = NOISELESS,
-    seed=0,
-) -> np.ndarray:
-    """Counts of ``shots`` readouts of the measurement circuit of one term.
-
-    One multinomial draw from the exact noisy outcome distribution, so the
-    counts are deterministic for a fixed seed.  Raises ValueError when CNOT
-    noise is set on a circuit with CNOTs and more than two qubits, where the
-    closed-form channel does not hold.
-    """
-    if term.num_qubits != circuit.num_qubits:
-        raise ValueError(
-            f"term acts on {term.num_qubits} qubits but circuit has {circuit.num_qubits}"
-        )
+def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
+    """Counts of ``shots`` readouts: one multinomial draw from one outcome
+    distribution, deterministic for a fixed ``seed`` (an int or a
+    SeedSequence, so callers can derive per-term streams)."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    dist = _outcome_distribution(circuit, tuple(parameters), term, noise)
-    # seed may be an int or a SeedSequence, so callers can derive per-term streams
+    dist = np.asarray(distribution, dtype=float)
+    # NaN fails both comparisons, and +inf fails the sum
+    if dist.ndim != 1 or not (abs(dist.sum() - 1.0) <= 1e-9 and dist.min() >= 0.0):
+        raise ValueError("distribution must be a finite, non-negative vector summing to 1")
     return np.random.default_rng(seed).multinomial(shots, dist)
 
 

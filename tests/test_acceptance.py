@@ -31,6 +31,7 @@ from lmgvqe import (
     minimize_variance,
     mitigate_counts,
     multiply,
+    outcome_distributions,
     parity_signs,
     reconstruct,
     run,
@@ -160,7 +161,8 @@ def test_criterion_5_readout_mitigation_efficacy():
         trial_ok = True
         for k, (true_value, circuit) in enumerate(prepared.items()):
             cal = calibrate(1, noise, shots, seed=10_000 + 2 * seed + k)
-            result = measure_term(circuit, (), z0, shots, noise=noise, seed=20_000 + 2 * seed + k)
+            dist = outcome_distributions(circuit, (), [z0], noise)[0]
+            result = measure_term(dist, shots, 20_000 + 2 * seed + k)
             raw, _ = expectation_from_counts(result, z0)
             mitigated = parity_signs(z0) @ mitigate_counts(result, cal)
             if abs(mitigated - true_value) > abs(raw - true_value) / 5.0:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lmgvqe.cli import ExperimentConfig, main
+from lmgvqe.cli import ConfigError, ExperimentConfig, main
 
 from conftest import N3_A_EIGS, N7_EIGS
 
@@ -209,6 +209,19 @@ class TestConfigHandling:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "singular" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--noise-readout", "0.2", "--mitigate", "readout"],
+        ["--noise-readout", "0.2"],
+        ["--noise-cnot", "0.01"],
+        ["--mitigate", "cnot"],
+    ])
+    def test_exact_mode_with_noise_or_mitigation_exits_2(self, extra, capsys):
+        assert main(["minimize", "--n", "3", "--shots", "exact", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        with pytest.raises(ConfigError):
+            ExperimentConfig(shots=None, noise_readout=0.2)
 
     def test_missing_config_file(self):
         assert main(["spectrum", "--config", "/nonexistent/config.json"]) == 2

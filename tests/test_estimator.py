@@ -187,6 +187,18 @@ class TestSampledEstimate:
         with pytest.raises(ValueError):
             estimate(ansatz_1q(), [0.0], n3_a.h, n3_a.h2, shots=0)
 
+    @pytest.mark.parametrize("noise,mitigation", [
+        (NoiseModel(0.2, 0.2), None),
+        (NoiseModel(cnot_depolarizing=0.01), None),
+        (NoiseModel(), Mitigation(readout=True)),
+        (NoiseModel(), Mitigation(cnot=True)),
+    ], ids=["readout-noise", "cnot-noise", "readout-mitigation", "cnot-mitigation"])
+    def test_exact_mode_rejects_noise_and_mitigation(self, n3_a, noise, mitigation):
+        # exact mode has no noise channel; it must not return noiseless numbers
+        with pytest.raises(ValueError):
+            estimate(ansatz_1q(), [0.3], n3_a.h, n3_a.h2, shots=None,
+                     noise=noise, mitigation=mitigation)
+
 
 def _numerical_gradient(func, x, step=1e-6):
     grad = np.zeros_like(x)

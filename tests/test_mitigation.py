@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lmgvqe import (
     cnot_extrapolate,
     measure_term,
     mitigate_counts,
+    outcome_distributions,
     parity_signs,
 )
 
@@ -77,7 +80,8 @@ class TestMitigateCounts:
     def test_end_to_end_bias_removed_on_excited_state(self):
         noise = NoiseModel(0.02, 0.02)
         cal = calibrate(1, noise, shots=200_000, seed=5)
-        result = measure_term(ansatz_1q(), [np.pi], Z0, 200_000, noise=noise, seed=6)
+        dist = outcome_distributions(ansatz_1q(), [np.pi], [Z0], noise)[0]
+        result = measure_term(dist, 200_000, 6)
         raw_mean, raw_stderr = -1.0 + 2 * result[0] / result.sum(), None
         mitigated = parity_signs(Z0) @ mitigate_counts(result, cal)
         assert abs(raw_mean - (-0.96)) < 0.01
@@ -90,7 +94,8 @@ class TestMitigateCounts:
         shots = 100_000
         for seed, theta, true in ((11, 0.0, 1.0), (12, np.pi, -1.0)):
             cal = calibrate(1, noise, shots=shots, seed=seed)
-            result = measure_term(ansatz_1q(), [theta], Z0, shots, noise=noise, seed=seed + 100)
+            dist = outcome_distributions(ansatz_1q(), [theta], [Z0], noise)[0]
+            result = measure_term(dist, shots, seed + 100)
             raw = (result[0] - result[1]) / shots
             mitigated = parity_signs(Z0) @ mitigate_counts(result, cal)
             assert abs(mitigated - true) <= abs(raw - true) / 5.0
@@ -106,6 +111,24 @@ class TestMitigateCounts:
         cal = ConfusionMatrix(np.eye(2), shots_per_column=1)
         with pytest.raises(ValueError):
             mitigate_counts(np.array([1, 0, 0, 0]), cal)
+
+
+class TestCalibrationColumns:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_columns_are_seeded_draws_from_the_readout_channel(self, num_qubits):
+        # column j: one multinomial draw from kron(confusion) @ e_j on child stream j
+        rng = np.random.default_rng(num_qubits)
+        for _ in range(5):
+            p01, p10 = rng.uniform(0.0, 0.3, 2)
+            shots, seed = int(rng.integers(1, 50_000)), int(rng.integers(0, 2**31))
+            cal = calibrate(num_qubits, NoiseModel(p01, p10, 0.1), shots, seed=seed)
+            confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+            readout = reduce(np.kron, [confusion] * num_qubits)
+            children = np.random.SeedSequence(seed).spawn(2**num_qubits)
+            for j, child in enumerate(children):
+                basis_state = np.eye(2**num_qubits)[j]
+                counts = np.random.default_rng(child).multinomial(shots, readout @ basis_state)
+                assert np.array_equal(cal.matrix[:, j], counts / shots)
 
 
 class TestConfusionMatrixValidation:
@@ -145,6 +168,21 @@ class TestCnotExtrapolate:
         estimate, _ = cnot_extrapolate(points)
         assert estimate == pytest.approx(1.1, abs=1e-3)
 
+    @pytest.mark.parametrize("folds", [(1, 3), (1, 3, 5)])
+    def test_arrays_match_scalar_calls_bit_for_bit(self, folds):
+        rng = np.random.default_rng(len(folds))
+        values = rng.normal(size=(len(folds), 40))
+        stderrs = np.abs(rng.normal(size=(len(folds), 40))) * 0.05
+        stderrs[:, :5] = 0.0  # unweighted fit for these elements
+        stderrs[0, 5:10] = 0.0  # one zero stderr also turns weighting off
+        estimates, errors = cnot_extrapolate(zip(folds, values, stderrs))
+        assert estimates.shape == errors.shape == (40,)
+        for t in range(40):
+            points = [(f, values[i, t], stderrs[i, t]) for i, f in enumerate(folds)]
+            scalar = cnot_extrapolate(points)
+            assert scalar == (estimates[t], errors[t])
+            assert all(type(x) is float for x in scalar)
+
     def test_needs_two_distinct_folds(self):
         with pytest.raises(ValueError):
             cnot_extrapolate([(1, 1.0, 0.0)])
@@ -158,7 +196,6 @@ class TestCnotExtrapolate:
         from itertools import product
 
         from lmgvqe import ansatz_2q, fold_cnots
-        from lmgvqe.simulator import _outcome_distribution
 
         lam = 1.0 - 16.0 * p_cnot / 15.0
         shrink = (3 * lam**2 - lam**6) / 2
@@ -166,9 +203,9 @@ class TestCnotExtrapolate:
         for labels in list(product("IXYZ", repeat=2))[1:]:
             term = PauliString(labels)
             params = rng.uniform(-np.pi, np.pi, 3)
-            mean = lambda fold, p: parity_signs(term) @ _outcome_distribution(
-                fold_cnots(ansatz_2q(), fold), params, term, NoiseModel(cnot_depolarizing=p)
-            )
+            mean = lambda fold, p: parity_signs(term) @ outcome_distributions(
+                fold_cnots(ansatz_2q(), fold), params, [term], NoiseModel(cnot_depolarizing=p)
+            )[0]
             extrapolated, _ = cnot_extrapolate([(f, mean(f, p_cnot), 0.0) for f in (1, 3)])
             assert extrapolated == pytest.approx(mean(1, 0.0) * shrink, abs=1e-12)
         if p_cnot == 0.01:
@@ -196,10 +233,8 @@ class TestCnotExtrapolate:
             ))
             estimates = {}
             for fold in (1, 3):
-                result = measure_term(
-                    fold_cnots(circuit, fold), params, z0, shots,
-                    noise=noise, seed=500 + 10 * i + fold,
-                )
+                dist = outcome_distributions(fold_cnots(circuit, fold), params, [z0], noise)[0]
+                result = measure_term(dist, shots, 500 + 10 * i + fold)
                 estimates[fold] = expectation_from_counts(result, z0)
             extrapolated, _ = cnot_extrapolate(
                 [(f, m, s) for f, (m, s) in estimates.items()]

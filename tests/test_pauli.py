@@ -213,6 +213,13 @@ class TestPauliSumValidation:
         psum = PauliSum.from_terms([(1.0, s), (-1.0, s), (0.5, identity_string(1))], 1)
         assert as_dict(psum) == {"I": 0.5}
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(ValueError):
+            PauliSum.from_terms([(weight, PauliString(("Z",))), (1.0, identity_string(1))], 1)
+        with pytest.raises(ValueError):
+            PauliSum.from_text(f"{weight} Z0\n1.0 I")
+
     def test_mixed_qubit_counts_rejected(self):
         with pytest.raises(ValueError):
             PauliSum(((1.0, PauliString(("X", "I"))),), 1)

@@ -10,15 +10,20 @@ from lmgvqe import (
     Gate,
     NoiseModel,
     PauliString,
+    PauliSum,
     ansatz_1q,
     ansatz_2q,
+    estimate,
     expectation_from_counts,
     fold_cnots,
     measure_term,
     mitigate_counts,
+    multiply,
+    outcome_distributions,
     run,
 )
-from lmgvqe.simulator import _X_BASIS_CHANGE, _Y_BASIS_CHANGE, _outcome_distribution
+from lmgvqe.circuits import apply_single_qubit
+from lmgvqe.simulator import _X_BASIS_CHANGE, _Y_BASIS_CHANGE
 from lmgvqe.pauli import PAULI_MATRICES
 
 Z0 = PauliString(("Z",))
@@ -26,8 +31,13 @@ X0 = PauliString(("X",))
 Y0 = PauliString(("Y",))
 
 
+def sample(circuit, params, term, shots, noise=NoiseModel(), seed=0):
+    """Counts of the measurement circuit of one term."""
+    return measure_term(outcome_distributions(circuit, params, [term], noise)[0], shots, seed)
+
+
 def sampled_expectation(term, theta, shots, noise=NoiseModel(), seed=0):
-    result = measure_term(ansatz_1q(), [theta], term, shots, noise=noise, seed=seed)
+    result = sample(ansatz_1q(), [theta], term, shots, noise=noise, seed=seed)
     return expectation_from_counts(result, term)
 
 
@@ -51,12 +61,12 @@ class TestBasisChanges:
 
 class TestMeasureTerm:
     def test_z_on_zero_state_is_deterministic(self):
-        result = measure_term(ansatz_1q(), [0.0], Z0, 500)
+        result = sample(ansatz_1q(), [0.0], Z0, 500)
         assert result.tolist() == [500, 0]
         assert expectation_from_counts(result, Z0) == (1.0, 0.0)
 
     def test_equal_superposition_counts(self):
-        result = measure_term(ansatz_1q(), [np.pi / 2], Z0, 20_000, seed=4)
+        result = sample(ansatz_1q(), [np.pi / 2], Z0, 20_000, seed=4)
         fraction = result[0] / result.sum()
         assert abs(fraction - 0.5) <= 0.011  # 3 sigma binomial
 
@@ -79,28 +89,28 @@ class TestMeasureTerm:
         # independent flips: <Z0Z1> scales by (1 - p01 - p10) per qubit
         noise = NoiseModel(readout_p01=0.02, readout_p10=0.02)
         term = PauliString(("Z", "Z"))
-        result = measure_term(ansatz_2q(), (0.0, 0.0, 0.0), term, 200_000, noise=noise, seed=3)
+        result = sample(ansatz_2q(), (0.0, 0.0, 0.0), term, 200_000, noise=noise, seed=3)
         mean, _ = expectation_from_counts(result, term)
         assert mean == pytest.approx((1 - 0.04) ** 2, abs=5e-3)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
-            measure_term(ansatz_1q(), [0.0], PauliString(("Z", "Z")), 100)
+            outcome_distributions(ansatz_1q(), [0.0], [PauliString(("Z", "Z"))])
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            measure_term(ansatz_1q(), [0.0], Z0, 0)
+            measure_term(outcome_distributions(ansatz_1q(), [0.0], [Z0])[0], 0)
 
     def test_seed_determinism(self):
         noise = NoiseModel(0.01, 0.02, 0.03)
         kwargs = dict(noise=noise, seed=13)
-        a = measure_term(ansatz_2q(), (0.7, -0.4, 1.1), PauliString(("X", "Y")), 5000, **kwargs)
-        b = measure_term(ansatz_2q(), (0.7, -0.4, 1.1), PauliString(("X", "Y")), 5000, **kwargs)
+        a = sample(ansatz_2q(), (0.7, -0.4, 1.1), PauliString(("X", "Y")), 5000, **kwargs)
+        b = sample(ansatz_2q(), (0.7, -0.4, 1.1), PauliString(("X", "Y")), 5000, **kwargs)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = measure_term(ansatz_1q(), [1.0], Z0, 5000, seed=1)
-        b = measure_term(ansatz_1q(), [1.0], Z0, 5000, seed=2)
+        a = sample(ansatz_1q(), [1.0], Z0, 5000, seed=1)
+        b = sample(ansatz_1q(), [1.0], Z0, 5000, seed=2)
         assert not np.array_equal(a, b)
 
     def test_converges_to_exact_two_qubit(self):
@@ -111,7 +121,7 @@ class TestMeasureTerm:
             params = rng.uniform(-np.pi, np.pi, 3)
             state = run(ansatz_2q(), params)
             for j, term in enumerate(terms):
-                result = measure_term(ansatz_2q(), params, term, 100_000, seed=1000 * i + j)
+                result = sample(ansatz_2q(), params, term, 100_000, seed=1000 * i + j)
                 mean, stderr = expectation_from_counts(result, term)
                 from lmgvqe.pauli import string_matrix
                 exact = float(np.vdot(state.amplitudes, string_matrix(term) @ state.amplitudes).real)
@@ -119,8 +129,8 @@ class TestMeasureTerm:
 
     def test_cnot_noise_changes_distribution(self):
         term = PauliString(("Z", "I"))
-        clean = measure_term(ansatz_2q(), (0.9, 0.4, -0.2), term, 50_000, seed=5)
-        noisy = measure_term(
+        clean = sample(ansatz_2q(), (0.9, 0.4, -0.2), term, 50_000, seed=5)
+        noisy = sample(
             ansatz_2q(), (0.9, 0.4, -0.2), term, 50_000,
             noise=NoiseModel(cnot_depolarizing=0.2), seed=5,
         )
@@ -194,14 +204,14 @@ class TestOutcomeDistribution:
             p01, p10 = rng.uniform(0.0, 0.3, 2)
             p_cnot = rng.uniform(0.0, 0.3)
             term = PauliString(labels)
-            got = _outcome_distribution(circuit, params, term, NoiseModel(p01, p10, p_cnot))
+            got = outcome_distributions(circuit, params, [term], NoiseModel(p01, p10, p_cnot))[0]
             expected = density_matrix_distribution(circuit, params, term, p01, p10, p_cnot)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_one_qubit_readout_matches_density_matrix(self):
         for theta, label in product((-2.0, 0.3, 1.9), "IXYZ"):
             term = PauliString((label,))
-            got = _outcome_distribution(ansatz_1q(), (theta,), term, NoiseModel(0.07, 0.15))
+            got = outcome_distributions(ansatz_1q(), (theta,), [term], NoiseModel(0.07, 0.15))[0]
             expected = density_matrix_distribution(ansatz_1q(), (theta,), term, 0.07, 0.15, 0.0)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -209,10 +219,96 @@ class TestOutcomeDistribution:
         circuit = Circuit(3, (Gate("x", target=0), Gate("cnot", target=2, control=0)))
         term = PauliString(("Z", "Z", "Z"))
         with pytest.raises(ValueError):
-            measure_term(circuit, (), term, 100, noise=NoiseModel(cnot_depolarizing=0.01))
+            outcome_distributions(circuit, (), [term], NoiseModel(cnot_depolarizing=0.01))
         # readout noise alone stays exact on any register
-        result = measure_term(circuit, (), term, 100, noise=NoiseModel(0.01, 0.02))
+        result = sample(circuit, (), term, 100, noise=NoiseModel(0.01, 0.02))
         assert result.sum() == 100
+
+
+def per_term_distribution(circuit, params, term, noise):
+    """One term's distribution by the per-term pipeline: run the circuit,
+    rotate the term's X/Y qubits, |a|^2, normalise, mix with lambda^k, then
+    the kron readout matrix."""
+    n = circuit.num_qubits
+    amps = run(circuit, params).amplitudes
+    for q, label in enumerate(term.labels):
+        if label in "XY":
+            u = _X_BASIS_CHANGE if label == "X" else _Y_BASIS_CHANGE
+            amps = apply_single_qubit(amps, n, q, u)
+    p = np.abs(amps) ** 2
+    p /= p.sum()
+    k = circuit.num_cnots
+    if noise.cnot_depolarizing > 0.0 and k:
+        survival = (1.0 - 16.0 * noise.cnot_depolarizing / 15.0) ** k
+        p = survival * p + (1.0 - survival) / p.size
+    if noise.has_readout_error:
+        p01, p10 = noise.readout_p01, noise.readout_p10
+        confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+        p = reduce(np.kron, [confusion] * n) @ p
+    return p
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("fold", [1, 3, 5])
+    def test_rows_bit_identical_to_per_term_pipeline(self, fold):
+        rng = np.random.default_rng(100 + fold)
+        circuit = fold_cnots(ansatz_2q(), fold)
+        terms = [PauliString(labels) for labels in product("IXYZ", repeat=2)]
+        for p_cnot in (0.0, 0.2):
+            params = tuple(rng.uniform(-np.pi, np.pi, 3))
+            noise = NoiseModel(*rng.uniform(0.0, 0.3, 2), p_cnot)
+            table = outcome_distributions(circuit, params, terms, noise)
+            assert table.shape == (16, 4)
+            for row, term in zip(table, terms):
+                assert np.array_equal(row, per_term_distribution(circuit, params, term, noise))
+
+    def test_one_qubit_rows_with_readout_noise(self):
+        terms = [PauliString((label,)) for label in "IXYZ"]
+        noise = NoiseModel(0.07, 0.15)
+        for theta in (-2.0, 0.3, 1.9):
+            table = outcome_distributions(ansatz_1q(), (theta,), terms, noise)
+            for row, term in zip(table, terms):
+                expected = per_term_distribution(ansatz_1q(), (theta,), term, noise)
+                assert np.array_equal(row, expected)
+
+    def test_shared_basis_gives_equal_rows_but_separate_draws(self, monkeypatch):
+        # Z0 and Z1 are both read in the computational basis, so their rows
+        # are equal, but each term still gets its own seeded shots
+        import lmgvqe.estimator as estimator_module
+
+        z0, z1 = PauliString(("Z", "I")), PauliString(("I", "Z"))
+        h = PauliSum.from_terms([(1.0, z0), (0.5, z1)], 2)
+        draws = []
+
+        def recording_measure_term(distribution, shots, seed=0):
+            counts = measure_term(distribution, shots, seed)
+            draws.append((np.array(distribution), counts))
+            return counts
+
+        monkeypatch.setattr(estimator_module, "measure_term", recording_measure_term)
+        estimate(ansatz_2q(), (0.9, 0.4, -0.2), h, multiply(h, h), shots=5000,
+                 noise=NoiseModel(0.02, 0.03), seed=7)
+        (row_z0, counts_z0), (row_z1, counts_z1) = draws[:2]
+        assert np.array_equal(row_z0, row_z1)
+        assert not np.array_equal(counts_z0, counts_z1)
+
+    def test_no_terms_gives_empty_table(self):
+        table = outcome_distributions(ansatz_2q(), (0.1, 0.2, 0.3), [])
+        assert table.shape == (0, 4)
+
+
+class TestMeasureTermValidation:
+    @pytest.mark.parametrize("distribution", [
+        [np.nan, 1.0], [np.inf, 0.0], [-0.1, 1.1], [0.5, 0.4], [[0.5, 0.5]], [],
+    ], ids=["nan", "inf", "negative", "not-normalised", "2-d", "empty"])
+    def test_malformed_distribution_rejected(self, distribution):
+        with pytest.raises(ValueError):
+            measure_term(np.array(distribution), 100)
+
+    def test_draw_is_one_seeded_multinomial(self):
+        dist = np.array([0.1, 0.2, 0.3, 0.4])
+        expected = np.random.default_rng(11).multinomial(5000, dist)
+        assert np.array_equal(measure_term(dist, 5000, 11), expected)
 
 
 class TestExpectationFromCounts:
