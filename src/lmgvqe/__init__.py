@@ -28,7 +28,7 @@ from .optimizer import (
     minimize_variance,
     sweep,
 )
-from .pauli import PauliString, PauliSum, decompose, multiply, reconstruct
+from .pauli import PauliString, PauliSum, decompose, multiply, parity_signs, reconstruct
 from .quasispin import (
     ModelParams,
     QuasispinBlock,
@@ -42,7 +42,6 @@ from .simulator import (
     NoiseModel,
     measure_term,
     outcome_distributions,
-    parity_signs,
 )
 
 __version__ = "0.1.0"

@@ -6,11 +6,18 @@ its columns come in closed form from the readout channel.  Amplitudes are
 indexed with qubit 0 as the most significant bit, matching the Pauli-string
 convention of :mod:`lmgvqe.pauli`; the bitstring of basis state b is just
 ``format(b, "0{n}b")`` with character q giving qubit q.
+
+Each circuit compiles its gates once into index arithmetic: X and CNOT
+permute the amplitudes, and RY(t) on the qubit with bit mask m maps a_b to
+cos(t/2) a_b -+ sin(t/2) a_(b ^ m), minus where bit m of b is 0.  These are
+the products and sums of the 2x2 product in ``apply_single_qubit``, so the
+amplitudes agree with it bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,14 +90,31 @@ class Circuit:
         if slots and slots != set(range(max(slots) + 1)):
             raise ValueError(f"parameter slots must be 0..k-1 without gaps, got {sorted(slots)}")
 
-    @property
+    @cached_property
     def num_parameters(self) -> int:
         slots = {g.parameter_slot for g in self.gates if g.parameter_slot is not None}
         return max(slots) + 1 if slots else 0
 
-    @property
+    @cached_property
     def num_cnots(self) -> int:
         return sum(g.kind == "cnot" for g in self.gates)
+
+    @cached_property
+    def _program(self) -> tuple:
+        """Per gate ``(perm, sign, slot, angle)``: X and CNOT take the amplitude
+        at perm[b] to b (sign None); RY mixes b with its partner perm[b] with
+        the sign of -sin at b, by parameter ``slot`` or the fixed ``angle``."""
+        n = self.num_qubits
+        idx = np.arange(2**n)
+        program = []
+        for g in self.gates:
+            mask = 1 << (n - 1 - g.target)  # qubit 0 is the most significant bit
+            if g.kind == "cnot":
+                mask = ((idx >> (n - 1 - g.control)) & 1) * mask
+            sign = np.where(idx & mask, 1.0, -1.0) if g.kind == "ry" else None
+            angle = float(g.angle) if g.kind == "ry" and g.parameter_slot is None else None
+            program.append((idx ^ mask, sign, g.parameter_slot, angle))
+        return tuple(program)
 
 
 @dataclass(frozen=True)
@@ -102,7 +126,7 @@ class Statevector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        n = int(round(np.log2(len(amps))))
+        n = len(amps).bit_length() - 1
         if len(amps) < 2 or 2**n != len(amps):
             raise ValueError(f"amplitude vector length {len(amps)} is not a power of two")
         norm = float(np.vdot(amps, amps).real)
@@ -111,7 +135,7 @@ class Statevector:
 
     @property
     def num_qubits(self) -> int:
-        return int(round(np.log2(len(self.amplitudes))))
+        return len(self.amplitudes).bit_length() - 1
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -157,25 +181,9 @@ def apply_single_qubit(amps: np.ndarray, num_qubits: int, qubit: int, u: np.ndar
     return out.reshape(-1)
 
 
-def apply_x(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    idx = np.arange(len(amps))
-    return amps[idx ^ (1 << (num_qubits - 1 - qubit))]
-
-
-def apply_cnot(amps: np.ndarray, num_qubits: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(len(amps))
-    ctrl_bit = (idx >> (num_qubits - 1 - control)) & 1
-    return amps[idx ^ (ctrl_bit << (num_qubits - 1 - target))]
-
-
-def _bound_angle(gate: Gate, parameters) -> float:
-    if gate.parameter_slot is not None:
-        return float(parameters[gate.parameter_slot])
-    return float(gate.angle)
-
-
 def run(circuit: Circuit, parameters=()) -> Statevector:
-    """Apply the circuit to |0...0> and return the final state."""
+    """Apply the circuit's compiled gates to |0...0> and return the final,
+    validated state."""
     parameters = tuple(parameters)
     if len(parameters) != circuit.num_parameters:
         raise ValueError(
@@ -183,13 +191,15 @@ def run(circuit: Circuit, parameters=()) -> Statevector:
         )
     amps = np.zeros(2**circuit.num_qubits, dtype=complex)
     amps[0] = 1.0
-    for gate in circuit.gates:
-        if gate.kind == "ry":
-            amps = apply_single_qubit(amps, circuit.num_qubits, gate.target, ry_matrix(_bound_angle(gate, parameters)))
-        elif gate.kind == "x":
-            amps = apply_x(amps, circuit.num_qubits, gate.target)
-        else:
-            amps = apply_cnot(amps, circuit.num_qubits, gate.control, gate.target)
+    for perm, sign, slot, angle in circuit._program:
+        if sign is None:
+            amps = amps[perm]
+            continue
+        theta = float(parameters[slot]) if slot is not None else angle
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        # the rows of ry_matrix(theta) with the same products and sums as
+        # apply_single_qubit; a matmul or einsum may fuse or reorder them
+        amps = complex(c) * amps + (sign * s).astype(complex) * amps[perm]
     return Statevector(amps)
 
 

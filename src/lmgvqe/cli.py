@@ -341,6 +341,8 @@ def _trace_doc(trace: RunTrace, config: ExperimentConfig, block: QuasispinBlock)
         "block": block.parity,
         "converged": trace.converged,
         "evaluations": len(trace.iterations),
+        "reason": trace.reason,
+        "restarts": trace.restarts,
         "energy": trace.final.energy,
         "energy_stderr": trace.final.energy_stderr,
         "variance": trace.final.variance,
@@ -497,6 +499,8 @@ def _spectrum_doc(config: ExperimentConfig, block, report) -> dict:
                 "seed": t.seed,
                 "converged": t.converged,
                 "evaluations": len(t.iterations),
+                "reason": t.reason,
+                "restarts": t.restarts,
                 "energy": t.final.energy,
                 "energy_stderr": t.final.energy_stderr,
                 "variance": t.final.variance,

@@ -12,12 +12,17 @@ carry their term tables (``PauliSum.measured_arrays``), built once each.
 
 ``shots=None`` selects exact (infinite-shot) noiseless expectation values
 from the statevector and rejects any noise or mitigation; any positive
-integer selects sampled estimation.  Each CNOT fold prepares its state
-once into a table of outcome distributions (``outcome_distributions``),
-from which every term draws its own seeded shots.  A term's
-mean is s . q for its parity signs s and q = A^-1 f, the frequencies f
-corrected by the readout calibration A (A = I without one).  As a weighted
-count w . f with w = A^-T s, its first-order variance is
+integer selects sampled estimation.  In exact mode each term mean is
+<psi|P|psi>.  ``_exact_objective`` gives the optimizer <H> and <H^2> by the
+same functions without building a result, and checks the problem once per
+objective rather than once per evaluation.
+
+In sampled mode each CNOT fold prepares its state once into a table of
+outcome distributions (``outcome_distributions``), from which every term
+draws its own seeded shots.  A term's mean is s . q for its parity signs s
+(``PauliSum.measured_signs``) and q = A^-1 f, the frequencies f corrected
+by the readout calibration A (A = I without one).  As a weighted count
+w . f with w = A^-T s, its first-order variance is
 
     (sum w^2 f - mean^2) / shots + sum_j q_j^2 (sum_i w_i^2 A_ij - 1) / cal_shots,
 
@@ -33,10 +38,8 @@ import numpy as np
 
 from .circuits import Circuit, Statevector, fold_cnots, run
 from .mitigation import ConfusionMatrix, Mitigation, calibrate, cnot_extrapolate, mitigate_counts
-from .pauli import PauliString, PauliSum
-from .simulator import (
-    NOISELESS, NoiseModel, _checked_counts, measure_term, outcome_distributions, parity_signs,
-)
+from .pauli import PauliString, PauliSum, parity_signs
+from .simulator import NOISELESS, NoiseModel, _checked_counts, measure_term, outcome_distributions
 
 __all__ = ["EstimationResult", "expectation_exact", "expectation_from_counts", "estimate"]
 
@@ -58,7 +61,11 @@ class EstimationResult:
     mitigation_applied: Mitigation = field(default_factory=Mitigation)
 
 
-def _verify_square_pair(h: PauliSum, h2: PauliSum) -> None:
+def _verify_problem(circuit: Circuit, h: PauliSum, h2: PauliSum) -> None:
+    """Reject sums on another register than the circuit's, and an ``h2``
+    that is not the square of ``h``."""
+    if h.num_qubits != circuit.num_qubits or h2.num_qubits != circuit.num_qubits:
+        raise ValueError("Hamiltonian and circuit qubit counts differ")
     square = h.matrix @ h.matrix
     error = np.abs(h2.matrix - square).max()
     if not error <= SQUARE_CHECK_TOL * max(1.0, np.abs(square).max()):  # also rejects NaN
@@ -75,12 +82,39 @@ def expectation_exact(state: Statevector, observable: PauliSum) -> float:
     return float(np.vdot(amps, observable.matrix @ amps).real)
 
 
+def _reject_noise_in_exact_mode(noise: NoiseModel, mitigation: Mitigation) -> None:
+    if noise != NOISELESS or mitigation.readout or mitigation.cnot:
+        raise ValueError("exact mode (shots=None) models no noise and applies no mitigation")
+
+
 def _exact_term_means(state: Statevector, psum: PauliSum) -> np.ndarray:
     _, _, strings, stack = psum.measured_arrays
     if len(strings) == 0:
         return np.zeros(0)
     amps = state.amplitudes
     return np.einsum("i,tij,j->t", amps.conj(), stack, amps).real
+
+
+def _exact_means(circuit: Circuit, parameters, h: PauliSum, h2: PauliSum):
+    """Exact term means of ``h`` and of ``h2``, one array per sum:
+    betas @ means over a slice of one joined array can differ in the last
+    bit."""
+    state = run(circuit, parameters)
+    return _exact_term_means(state, h), _exact_term_means(state, h2)
+
+
+def _exact_objective(circuit: Circuit, h: PauliSum, h2: PauliSum):
+    """``parameters -> (<H>, <H^2>)`` in exact mode, equal bit for bit to
+    ``estimate``'s energy and h_squared.  The problem is checked here, once."""
+    _verify_problem(circuit, h, h2)
+    const_h, betas_h, _, _ = h.measured_arrays
+    const_2, betas_2, _, _ = h2.measured_arrays
+
+    def moments(parameters) -> tuple[float, float]:
+        means_h, means_2 = _exact_means(circuit, parameters, h, h2)
+        return _weighted(const_h, betas_h, means_h), _weighted(const_2, betas_2, means_2)
+
+    return moments
 
 
 def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal: ConfusionMatrix | None):
@@ -114,13 +148,16 @@ def expectation_from_counts(
     return float(mean[0]), float(stderr[0])
 
 
+def _weighted(const: float, betas: np.ndarray, means: np.ndarray) -> float:
+    return const + float(betas @ means) if len(betas) else const
+
+
 def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.ndarray):
-    value = const + float(betas @ means) if len(betas) else const
     stderr = float(np.sqrt(np.sum(betas**2 * stderrs**2))) if len(betas) else 0.0
-    return value, stderr
+    return _weighted(const, betas, means), stderr
 
 
-def _sampled_term_means(circuit, parameters, all_strings, shots, noise, mitigation, seed):
+def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, mitigation, seed):
     """Means and standard errors of every measured term from seeded shots,
     readout-corrected and CNOT-extrapolated as ``mitigation`` asks."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -132,8 +169,6 @@ def _sampled_term_means(circuit, parameters, all_strings, shots, noise, mitigati
         cal_shots = mitigation.calibration_shots or shots
         cal = calibrate(circuit.num_qubits, noise, cal_shots, next(streams))
 
-    # reshape keeps the (terms, outcomes) shape when no term is measured
-    signs = np.array([parity_signs(s) for s in all_strings]).reshape(-1, 2**circuit.num_qubits)
     counts = []
     for fold in folds:
         table = outcome_distributions(fold_cnots(circuit, fold), parameters, all_strings, noise)
@@ -163,27 +198,22 @@ def estimate(
     batches.
     """
     mitigation = mitigation or Mitigation()
-    if h.num_qubits != circuit.num_qubits or h2.num_qubits != circuit.num_qubits:
-        raise ValueError("Hamiltonian and circuit qubit counts differ")
-    _verify_square_pair(h, h2)
+    _verify_problem(circuit, h, h2)
     parameters = tuple(float(p) for p in parameters)
 
     const_h, betas_h, strings_h, _ = h.measured_arrays
     const_2, betas_2, strings_2, _ = h2.measured_arrays
     all_strings = strings_h + strings_2
     if shots is None:
-        if noise != NOISELESS or mitigation.readout or mitigation.cnot:
-            raise ValueError("exact mode (shots=None) models no noise and applies no mitigation")
-        # an array per sum: betas @ means over a slice of one joined array
-        # can differ in the last bit
-        state = run(circuit, parameters)
-        means_h, means_2 = _exact_term_means(state, h), _exact_term_means(state, h2)
+        _reject_noise_in_exact_mode(noise, mitigation)
+        means_h, means_2 = _exact_means(circuit, parameters, h, h2)
         stderrs_h, stderrs_2 = np.zeros_like(means_h), np.zeros_like(means_2)
     elif shots < 1:
         raise ValueError("shots must be positive (or None for exact mode)")
     else:
+        signs = np.concatenate([h.measured_signs, h2.measured_signs])
         means, stderrs = _sampled_term_means(
-            circuit, parameters, all_strings, shots, noise, mitigation, seed
+            circuit, parameters, all_strings, signs, shots, noise, mitigation, seed
         )
         means_h, means_2 = np.split(means, [len(strings_h)])
         stderrs_h, stderrs_2 = np.split(stderrs, [len(strings_h)])

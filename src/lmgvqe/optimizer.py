@@ -7,6 +7,10 @@ Nelder-Mead with deterministic shrink restarts: when the simplex collapses
 above the convergence threshold and evaluation budget remains, the search
 resumes from the best point with a smaller initial simplex.
 
+In exact mode an evaluation only prepares the state and reads <H> and <H^2>
+(``estimator._exact_objective``, bit-identical to ``estimate``); a trace's
+final result is one ``estimate``.  Each trace records why it stopped.
+
 Every candidate eigenvalue is screened with an accidental-zero check: the
 residual ||H psi - <H> psi|| of the noiseless state, which catches variance
 minima manufactured by sampling noise.
@@ -21,7 +25,7 @@ from scipy import optimize as _sciopt
 
 from .analysis import eigensolve
 from .circuits import Circuit, run
-from .estimator import EstimationResult, estimate
+from .estimator import EstimationResult, _exact_objective, _reject_noise_in_exact_mode, estimate
 from .mitigation import Mitigation
 from .pauli import PauliSum
 from .simulator import NOISELESS, NoiseModel
@@ -43,6 +47,8 @@ SAMPLED_VARIANCE_FLOOR = 0.01
 CLUSTER_RADIUS_FLOOR = 1e-3
 RESIDUAL_TOL = 1e-6
 _MAX_RESTARTS = 30
+# "stalled": no free parameter, or a round that made no evaluation
+TERMINATION_REASONS = ("converged", "budget", "restart_cap", "stalled")
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,16 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    """Full evaluation history of one variance minimization."""
+    """Full evaluation history of one variance minimization, with why it
+    stopped (one of ``TERMINATION_REASONS``) and its restart count."""
 
     iterations: list[IterationRecord]
     converged: bool
     final: EstimationResult
     final_parameters: tuple[float, ...]
     seed: int
+    reason: str
+    restarts: int
 
 
 @dataclass
@@ -113,10 +122,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _threshold(config: EstimatorConfig, result: EstimationResult) -> float:
+def _threshold(config: EstimatorConfig, variance_stderr: float) -> float:
     if config.exact:
         return EXACT_VARIANCE_TOL
-    return max(2.0 * result.variance_stderr, SAMPLED_VARIANCE_FLOOR)
+    return max(2.0 * variance_stderr, SAMPLED_VARIANCE_FLOOR)
 
 
 def _matching_cluster(clusters, value: float) -> SpectrumCluster | None:
@@ -135,6 +144,34 @@ def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
     return simplex
 
 
+def _point_evaluator(h: PauliSum, h2: PauliSum, circuit: Circuit, config: EstimatorConfig):
+    """``(parameters, index) -> ((energy, variance, energy_stderr,
+    variance_stderr), result)`` as ``config`` asks, with sampled points
+    seeded by (config.seed, index).  Exact mode checks the problem once and
+    builds no result (None); its values equal ``estimate``'s bit for bit."""
+    if config.exact:
+        moments = _exact_objective(circuit, h, h2)
+        _reject_noise_in_exact_mode(config.noise, config.mitigation)
+
+        def exact(params, index):
+            energy, h_sq = moments(params)
+            # +0.0 stderrs, as _combine and the variance stderr formula give
+            return (energy, h_sq - energy**2, 0.0, 0.0), None
+
+        return exact
+
+    def sampled(params, index):
+        result = estimate(
+            circuit, params, h, h2,
+            shots=config.shots, noise=config.noise, mitigation=config.mitigation,
+            seed=np.random.SeedSequence((config.seed, index)),
+        )
+        values = (result.energy, result.variance, result.energy_stderr, result.variance_stderr)
+        return values, result
+
+    return sampled
+
+
 def minimize_variance(
     h: PauliSum,
     h2: PauliSum,
@@ -148,7 +185,8 @@ def minimize_variance(
     Stops as soon as an evaluation satisfies |sigma^2| < threshold (1e-8 in
     exact mode, max(2 * stderr, 0.01) in sampled mode), or when the budget of
     objective evaluations is exhausted; the latter returns a trace with
-    ``converged=False`` rather than raising.
+    ``converged=False`` rather than raising.  The trace's ``reason`` says
+    which of ``TERMINATION_REASONS`` ended the search.
     """
     x0 = np.atleast_1d(np.asarray(initial, dtype=float))
     if x0.shape != (circuit.num_parameters,):
@@ -160,38 +198,34 @@ def minimize_variance(
     if budget < 1:
         raise ValueError("budget must be at least 1")
 
+    evaluate = _point_evaluator(h, h2, circuit, config)
     records: list[IterationRecord] = []
-    best: tuple[float, EstimationResult, tuple[float, ...]] | None = None
-    crossing: tuple[EstimationResult, tuple[float, ...]] | None = None
+    # (|variance|, parameters, result); the result is None in exact mode
+    best: tuple[float, tuple[float, ...], EstimationResult | None] | None = None
+    crossing: tuple[tuple[float, ...], EstimationResult | None] | None = None
 
     def objective(x: np.ndarray) -> float:
         nonlocal best, crossing
         if len(records) >= budget:
             raise _BudgetExhausted
-        params = tuple(float(v) for v in x)
-        seed = 0 if config.exact else np.random.SeedSequence((config.seed, len(records)))
-        result = estimate(
-            circuit, params, h, h2,
-            shots=config.shots, noise=config.noise, mitigation=config.mitigation,
-            seed=seed,
-        )
-        records.append(IterationRecord(
-            params, result.energy, result.variance,
-            result.energy_stderr, result.variance_stderr,
-        ))
-        if best is None or abs(result.variance) < best[0]:
-            best = (abs(result.variance), result, params)
-        if abs(result.variance) < _threshold(config, result):
-            crossing = (result, params)
+        params = tuple(x.tolist())
+        values, result = evaluate(params, len(records))
+        record = IterationRecord(params, *values)
+        records.append(record)
+        if best is None or abs(record.variance) < best[0]:
+            best = (abs(record.variance), params, result)
+        if abs(record.variance) < _threshold(config, record.variance_stderr):
+            crossing = (params, result)
             raise _Converged
-        return result.variance
+        return record.variance
 
-    converged = False
+    restart = 0
     if circuit.num_parameters == 0:
         try:
             objective(x0)
+            reason = "stalled"
         except _Converged:
-            converged = True
+            reason = "converged"
     else:
         # the landscape lives on angles, so every round gets an explicit
         # simplex with an absolute step; scipy's default simplex scales with
@@ -205,7 +239,6 @@ def minimize_variance(
             options.update(xatol=1e-3, fatol=1e-3)
             options["maxfev"] = max(40 * circuit.num_parameters, 60)
         x_start = x0
-        restart = 0
         while True:
             step = max(0.5 * 0.2**restart, 1e-6)
             opts = dict(options, initial_simplex=_initial_simplex(x_start, step))
@@ -213,24 +246,37 @@ def minimize_variance(
             try:
                 _sciopt.minimize(objective, x_start, method="Nelder-Mead", options=opts)
             except _Converged:
-                converged = True
+                reason = "converged"
                 break
             except _BudgetExhausted:
+                reason = "budget"
                 break
-            if len(records) >= budget or len(records) == seen:
+            if len(records) >= budget:
+                reason = "budget"
+                break
+            if len(records) == seen:
+                reason = "stalled"
+                break
+            if restart == _MAX_RESTARTS:
+                reason = "restart_cap"
                 break
             restart += 1
-            if restart > _MAX_RESTARTS:
-                break
-            x_start = np.asarray(best[2], dtype=float)
+            x_start = np.asarray(best[1], dtype=float)
 
-    final_result, final_params = crossing if converged else (best[1], best[2])
+    converged = reason == "converged"
+    final_params, final_result = crossing if converged else best[1:]
+    if final_result is None:
+        final_result = estimate(
+            circuit, final_params, h, h2, noise=config.noise, mitigation=config.mitigation
+        )
     return RunTrace(
         iterations=records,
         converged=converged,
         final=final_result,
         final_parameters=final_params,
         seed=int(config.seed),
+        reason=reason,
+        restarts=restart,
     )
 
 
@@ -273,20 +319,13 @@ def sweep(
         base = np.asarray(fixed_parameters, dtype=float)
         if base.shape != (k,):
             raise ValueError(f"fixed_parameters must supply all {k} slots")
+    evaluate = _point_evaluator(h, h2, circuit, config)
     points = []
     for i, angle in enumerate(grid):
         params = base.copy()
         params[parameter_index] = angle
-        seed = 0 if config.exact else np.random.SeedSequence((config.seed, i))
-        result = estimate(
-            circuit, params, h, h2,
-            shots=config.shots, noise=config.noise, mitigation=config.mitigation,
-            seed=seed,
-        )
-        points.append(SweepPoint(
-            float(angle), result.energy, result.variance,
-            result.energy_stderr, result.variance_stderr,
-        ))
+        values, _ = evaluate(tuple(params.tolist()), i)
+        points.append(SweepPoint(float(angle), *values))
     return points
 
 
@@ -367,7 +406,7 @@ def discover_spectrum(
         # a state converged to |variance| < T sits within sqrt(T) of an
         # eigenvector (residual^2 = exact variance), so the screen must be
         # calibrated to sqrt(threshold); stderr alone underestimates it
-        threshold = _threshold(config, rep_trace.final)
+        threshold = _threshold(config, rep_trace.final.variance_stderr)
         combined_stderr = float(np.hypot(
             rep_trace.final.energy_stderr, rep_trace.final.variance_stderr
         ))

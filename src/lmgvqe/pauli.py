@@ -28,6 +28,7 @@ __all__ = [
     "decompose",
     "reconstruct",
     "multiply",
+    "parity_signs",
 ]
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -114,14 +115,23 @@ def identity_string(num_qubits: int) -> PauliString:
     return PauliString(("I",) * num_qubits)
 
 
+def parity_signs(term: PauliString) -> np.ndarray:
+    """Eigenvalue of ``term`` on each computational outcome: +1 for even
+    parity on the non-identity positions of the term, -1 for odd."""
+    n = term.num_qubits
+    mask = sum(1 << (n - 1 - q) for q, label in enumerate(term.labels) if label != "I")
+    return np.array([-1.0 if bin(b & mask).count("1") & 1 else 1.0 for b in range(2**n)])
+
+
 @dataclass(frozen=True)
 class PauliSum:
     """Weighted sum of Pauli strings on a fixed qubit register.
 
     Coefficients are real for Hermitian operators; operator products
     (see :func:`multiply`) may carry complex weights.  Derived data (the
-    dense matrix and the measured-term arrays) is built on first use and
-    kept on the instance; equality and hashing still see only the fields.
+    dense matrix, the measured-term arrays and their parity signs) is built
+    on first use and kept on the instance; equality and hashing still see
+    only the fields.
     """
 
     terms: tuple[tuple[float | complex, PauliString], ...]
@@ -200,6 +210,16 @@ class PauliSum:
         betas.setflags(write=False)
         stack.setflags(write=False)
         return const, betas, strings, stack
+
+    @cached_property
+    def measured_signs(self) -> np.ndarray:
+        """Parity signs of the measured terms, shape (terms, 2^m), read-only:
+        row t holds term t's eigenvalue on each computational outcome."""
+        dim = 2**self.num_qubits
+        # reshape keeps the (terms, outcomes) shape when no term is measured
+        signs = np.array([parity_signs(s) for _, s in self.measured_terms]).reshape(-1, dim)
+        signs.setflags(write=False)
+        return signs
 
     def to_text(self, digits: int = 9) -> str:
         """One term per line, ``<coeff> <string>``."""

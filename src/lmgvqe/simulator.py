@@ -28,13 +28,11 @@ from functools import reduce
 import numpy as np
 
 from .circuits import Circuit, apply_single_qubit, ry_matrix, run
-from .pauli import PauliString
 
 __all__ = [
     "NoiseModel",
     "measure_term",
     "outcome_distributions",
-    "parity_signs",
 ]
 
 # maps the +1 eigenbasis of X (resp. Y) onto the computational basis
@@ -131,14 +129,6 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     if dist.ndim != 1 or not (abs(dist.sum() - 1.0) <= 1e-9 and dist.min() >= 0.0):
         raise ValueError("distribution must be a finite, non-negative vector summing to 1")
     return np.random.default_rng(seed).multinomial(shots, dist)
-
-
-def parity_signs(term: PauliString) -> np.ndarray:
-    """Eigenvalue of ``term`` on each outcome: +1 for even parity on the
-    non-identity positions of the term, -1 for odd."""
-    n = term.num_qubits
-    mask = sum(1 << (n - 1 - q) for q, label in enumerate(term.labels) if label != "I")
-    return np.array([-1.0 if bin(b & mask).count("1") & 1 else 1.0 for b in range(2**n)])
 
 
 def _checked_counts(counts, num_qubits: int) -> np.ndarray:

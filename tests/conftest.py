@@ -104,6 +104,12 @@ def n7_a():
     return BlockSetup(a)
 
 
+@pytest.fixture(scope="session")
+def n7_b():
+    _, b = build_blocks(ModelParams(7, v=0.5))
+    return BlockSetup(b)
+
+
 def eigenstate_parameters_1q(vector):
     """Angle reproducing a real unit 2-vector with the single-RY ansatz."""
     return 2.0 * np.arctan2(vector[1], vector[0])

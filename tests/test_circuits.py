@@ -1,7 +1,45 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lmgvqe import Circuit, Gate, Statevector, ansatz_1q, ansatz_2q, fold_cnots, run
+from lmgvqe.circuits import apply_single_qubit, ry_matrix
+
+SPECIAL_ANGLES = (0.0, np.pi, -np.pi, 2.0 * np.pi, 1e-300, -0.0)
+
+
+def reference_amplitudes(circuit, parameters):
+    """The uncompiled gate loop: a 2x2 product per RY, an index XOR per X
+    and CNOT."""
+    n = circuit.num_qubits
+    idx = np.arange(2**n)
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    for g in circuit.gates:
+        if g.kind == "ry":
+            theta = float(parameters[g.parameter_slot] if g.parameter_slot is not None else g.angle)
+            amps = apply_single_qubit(amps, n, g.target, ry_matrix(theta))
+        elif g.kind == "x":
+            amps = amps[idx ^ (1 << (n - 1 - g.target))]
+        else:
+            control = (idx >> (n - 1 - g.control)) & 1
+            amps = amps[idx ^ (control << (n - 1 - g.target))]
+    return amps
+
+
+def three_qubit_circuit():
+    return Circuit(3, (
+        Gate("x", target=1),
+        Gate("ry", target=0, parameter_slot=0),
+        Gate("cnot", target=2, control=0),
+        Gate("ry", target=2, angle=0.37),
+        Gate("ry", target=1, parameter_slot=1),
+        Gate("cnot", target=1, control=2),
+        Gate("x", target=0),
+        Gate("ry", target=0, angle=-2.1),
+        Gate("ry", target=2, parameter_slot=2),
+    ))
 
 
 class TestGateAndCircuitValidation:
@@ -106,7 +144,7 @@ class TestAnsatz2q:
                 c1 * np.cos(alpha), c1 * np.sin(alpha),
                 s1 * np.cos(beta), -s1 * np.sin(beta),
             ]
-            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+            np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
 
     def test_amplitudes_are_real_and_normalized(self):
         rng = np.random.default_rng(21)
@@ -142,6 +180,30 @@ class TestRun:
     def test_fixed_angle_ry(self):
         circuit = Circuit(1, (Gate("ry", target=0, angle=np.pi),))
         np.testing.assert_allclose(run(circuit).amplitudes, [0, 1], atol=1e-12)
+
+
+class TestCompiledRun:
+    """``run`` applies each circuit's compiled program; its amplitudes must
+    equal the uncompiled gate loop's bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("make,fold", [
+        (ansatz_1q, 1), (ansatz_2q, 1), (ansatz_2q, 3), (ansatz_2q, 5), (three_qubit_circuit, 1),
+    ])
+    def test_matches_reference_gate_loop_bit_for_bit(self, make, fold):
+        circuit = fold_cnots(make(), fold)
+        k = circuit.num_parameters
+        points = list(np.random.default_rng(17).uniform(-4.0, 4.0, (200, k)))
+        points += list(itertools.product(SPECIAL_ANGLES, repeat=k))
+        for params in points:
+            got = run(circuit, params).amplitudes
+            assert got.tobytes() == reference_amplitudes(circuit, params).tobytes(), params
+
+    def test_fixed_angle_and_basis_gates_only(self):
+        circuit = Circuit(2, (
+            Gate("x", target=0), Gate("ry", target=1, angle=1.3), Gate("cnot", target=1, control=0),
+        ))
+        assert circuit.num_parameters == 0
+        assert run(circuit).amplitudes.tobytes() == reference_amplitudes(circuit, ()).tobytes()
 
 
 class TestFoldCnots:

@@ -82,6 +82,7 @@ class TestMinimize:
         assert abs(doc["variance"]) < 1e-8
         assert min(abs(doc["energy"] - e) for e in N3_A_EIGS) < 1e-6
         assert len(doc["iterations"]) == doc["evaluations"]
+        assert (doc["reason"], doc["restarts"]) == ("converged", 0)
 
     def test_stdout_json_without_out(self, capsys):
         assert main(["minimize", "--n", "3", "--block", "B", "--seed", "2"]) == 0
@@ -99,6 +100,9 @@ class TestSpectrum:
         doc = json.loads((tmp_path / "spectrum.json").read_text())
         assert doc["coverage"] == 1.0
         assert len(doc["clusters"]) == 2
+        for run_summary in doc["runs"]:
+            assert run_summary["reason"] == "converged"
+            assert run_summary["restarts"] >= 0
         rows = read_csv_rows(tmp_path / "clusters.csv")
         for row, exact in zip(rows, N3_A_EIGS):
             assert float(row["exact_value"]) == pytest.approx(exact, abs=1e-6)

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
+import lmgvqe.optimizer as optimizer_module
 from lmgvqe import (
+    Circuit,
     EstimatorConfig,
+    Gate,
+    Mitigation,
+    NoiseModel,
     PauliString,
     PauliSum,
     accidental_zero_check,
     ansatz_1q,
     ansatz_2q,
     discover_spectrum,
+    estimate,
     minimize_variance,
     sweep,
 )
+from lmgvqe.estimator import _exact_objective
+from lmgvqe.optimizer import _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint
 
 from conftest import N3_A_EIGS, N7_EIGS, eigenstate_parameters_1q
 
@@ -42,6 +50,7 @@ class TestMinimizeVariance:
         assert not trace.converged
         assert len(trace.iterations) == 5
         assert trace.final is not None
+        assert (trace.reason, trace.restarts) == ("budget", 0)
 
     def test_trace_records_every_evaluation(self, n3_a):
         trace = minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [2.0], EXACT)
@@ -60,6 +69,124 @@ class TestMinimizeVariance:
     def test_wrong_parameter_count(self, n3_a):
         with pytest.raises(ValueError):
             minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [0.1, 0.2], EXACT)
+
+    def test_exact_records_equal_estimate_bit_for_bit(self, n7_a):
+        circuit = ansatz_2q()
+        trace = minimize_variance(n7_a.h, n7_a.h2, circuit, [0.4, -1.2, 2.0], EXACT)
+        assert trace.converged and len(trace.iterations) > 50
+        for record in trace.iterations:
+            result = estimate(circuit, record.parameters, n7_a.h, n7_a.h2)
+            assert repr(record) == repr(IterationRecord(
+                record.parameters, result.energy, result.variance,
+                result.energy_stderr, result.variance_stderr,
+            ))
+        final = estimate(circuit, trace.final_parameters, n7_a.h, n7_a.h2)
+        assert repr(trace.final) == repr(final)
+        assert trace.final_parameters == trace.iterations[-1].parameters
+
+
+def _flat_variance_problem():
+    """H = Y on one qubit: every real ansatz state has variance exactly 1."""
+    y = PauliSum.from_terms([(1.0, PauliString.from_text("Y0", 1))], 1)
+    identity = PauliSum.from_terms([(1.0, PauliString.from_text("I", 1))], 1)
+    return y, identity
+
+
+class TestTerminationReason:
+    def test_converged(self):
+        const = PauliSum.from_terms([(0.7, PauliString(("I",)))], 1)
+        const_sq = PauliSum.from_terms([(0.49, PauliString(("I",)))], 1)
+        trace = minimize_variance(const, const_sq, ansatz_1q(), [0.3], EXACT)
+        assert trace.converged
+        assert (trace.reason, trace.restarts, len(trace.iterations)) == ("converged", 0, 1)
+
+    @pytest.mark.parametrize("config", [EXACT, EstimatorConfig(shots=100, seed=3)])
+    def test_restart_cap(self, config):
+        h, h2 = _flat_variance_problem()
+        trace = minimize_variance(h, h2, ansatz_1q(), [0.3], config, budget=10**5)
+        assert not trace.converged
+        assert (trace.reason, trace.restarts) == ("restart_cap", _MAX_RESTARTS)
+        assert len(trace.iterations) < 10**5
+
+    def test_budget_in_sampled_mode(self):
+        h, h2 = _flat_variance_problem()
+        config = EstimatorConfig(shots=100, seed=3)
+        trace = minimize_variance(h, h2, ansatz_1q(), [0.3], config, budget=7)
+        assert (trace.reason, len(trace.iterations)) == ("budget", 7)
+
+    def test_stalled_without_free_parameters(self):
+        # |1> is not an eigenstate of X, and nothing can move it
+        x = PauliSum.from_terms([(1.0, PauliString.from_text("X0", 1))], 1)
+        identity = PauliSum.from_terms([(1.0, PauliString.from_text("I", 1))], 1)
+        trace = minimize_variance(x, identity, Circuit(1, (Gate("x", target=0),)), [], EXACT)
+        assert not trace.converged
+        assert (trace.reason, trace.restarts, len(trace.iterations)) == ("stalled", 0, 1)
+
+    def test_spectrum_traces_carry_reasons(self, n7_a):
+        report = discover_spectrum(n7_a.h, n7_a.h2, ansatz_2q(), 10, EXACT, master_seed=2)
+        for trace in report.traces:
+            assert trace.reason in TERMINATION_REASONS
+            assert trace.converged == (trace.reason == "converged")
+            assert 0 <= trace.restarts <= _MAX_RESTARTS
+
+
+class TestExactObjective:
+    @pytest.mark.parametrize("name", ["n3_a", "n3_b", "n7_a", "n7_b"])
+    def test_matches_estimate_bit_for_bit(self, request, name):
+        setup = request.getfixturevalue(name)
+        moments = _exact_objective(setup.circuit, setup.h, setup.h2)
+        rng = np.random.default_rng(31)
+        for params in rng.uniform(-np.pi, np.pi, (200, setup.circuit.num_parameters)):
+            params = tuple(params.tolist())
+            result = estimate(setup.circuit, params, setup.h, setup.h2)
+            assert repr(moments(params)) == repr((result.energy, result.h_squared))
+
+
+class TestInputRejectedBeforeAnyRecord:
+    """Bad input raises ValueError before the first evaluation is recorded."""
+
+    @pytest.fixture
+    def records(self, monkeypatch):
+        made = []
+
+        def recording(*args):
+            made.append(args)
+            return IterationRecord(*args)
+
+        monkeypatch.setattr(optimizer_module, "IterationRecord", recording)
+        return made
+
+    def test_qubit_count_mismatch(self, n7_a, records):
+        with pytest.raises(ValueError, match="qubit counts"):
+            minimize_variance(n7_a.h, n7_a.h2, ansatz_1q(), [0.1], EXACT)
+        with pytest.raises(ValueError, match="qubit counts"):
+            sweep(n7_a.h, n7_a.h2, ansatz_1q(), config=EXACT)
+        assert records == []
+
+    def test_non_square_h2(self, n3_a, records):
+        with pytest.raises(ValueError, match="not the square"):
+            minimize_variance(n3_a.h, n3_a.h, ansatz_1q(), [0.1], EXACT)
+        with pytest.raises(ValueError, match="not the square"):
+            sweep(n3_a.h, n3_a.h, ansatz_1q(), config=EXACT)
+        assert records == []
+
+    @pytest.mark.parametrize("config", [
+        EstimatorConfig(noise=NoiseModel(readout_p01=0.02)),
+        EstimatorConfig(noise=NoiseModel(cnot_depolarizing=0.01)),
+        EstimatorConfig(mitigation=Mitigation(readout=True)),
+        EstimatorConfig(mitigation=Mitigation(cnot=True)),
+    ])
+    def test_noise_or_mitigation_in_exact_mode(self, n3_a, records, config):
+        with pytest.raises(ValueError, match="exact mode"):
+            minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [0.1], config)
+        with pytest.raises(ValueError, match="exact mode"):
+            sweep(n3_a.h, n3_a.h2, ansatz_1q(), config=config)
+        assert records == []
+
+    def test_nan_initial_parameter(self, n3_a, records):
+        with pytest.raises(ValueError, match="normalized"):
+            minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [np.nan], EXACT)
+        assert records == []
 
 
 class TestSweep:
@@ -102,6 +229,29 @@ class TestSweep:
             fixed_parameters=(0.0, 0.3, -0.2),
         )
         assert len(points) == 5
+
+    def test_exact_points_equal_estimate_per_point(self, n3_a, n7_a):
+        def expected(setup, circuit, params, angle):
+            result = estimate(circuit, params, setup.h, setup.h2)
+            return SweepPoint(
+                angle, result.energy, result.variance,
+                result.energy_stderr, result.variance_stderr,
+            )
+
+        points = sweep(n3_a.h, n3_a.h2, ansatz_1q(), config=EXACT)
+        assert repr(points) == repr([
+            expected(n3_a, ansatz_1q(), [p.angle], p.angle) for p in points
+        ])
+        fixed = (0.3, -1.1, 2.2)
+        for index in range(3):
+            points = sweep(
+                n7_a.h, n7_a.h2, ansatz_2q(), parameter_index=index, config=EXACT,
+                fixed_parameters=fixed,
+            )
+            assert repr(points) == repr([
+                expected(n7_a, ansatz_2q(), fixed[:index] + (p.angle,) + fixed[index + 1:], p.angle)
+                for p in points
+            ])
 
 
 class TestAccidentalZeroCheck:

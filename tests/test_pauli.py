@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmgvqe import PauliString, PauliSum, decompose, multiply, reconstruct
+from lmgvqe import PauliString, PauliSum, decompose, multiply, parity_signs, reconstruct
 from lmgvqe.pauli import _pauli_basis, identity_string
 
 from conftest import (
@@ -100,6 +100,19 @@ class TestReconstruct:
         _, betas, _, stack = n3_a.h.measured_arrays
         assert n3_a.h.measured_arrays is n3_a.h.measured_arrays
         assert not betas.flags.writeable and not stack.flags.writeable
+
+    def test_measured_signs_are_built_once_and_read_only(self, n7_a):
+        signs = n7_a.h2.measured_signs
+        assert signs is n7_a.h2.measured_signs
+        assert not signs.flags.writeable
+        _, _, strings, stack = n7_a.h2.measured_arrays
+        assert signs.shape == (len(strings), 4)
+        for row, string, matrix in zip(signs, strings, stack):
+            assert row.tolist() == parity_signs(string).tolist()
+            if set(string.labels) <= {"I", "Z"}:  # diagonal: the signs are its diagonal
+                assert row.tolist() == np.diag(matrix).real.tolist()
+        identity_only = PauliSum.from_terms([(2.0, identity_string(2))], 2)
+        assert identity_only.measured_signs.shape == (0, 4)
 
     def test_returns_writeable_copy(self, n3_a):
         dense = reconstruct(n3_a.h)
