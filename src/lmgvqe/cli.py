@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -56,7 +57,8 @@ def _fmt(x) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one experiment; JSON round-trippable."""
+    """Complete description of one experiment; JSON round-trippable.  Construction
+    checks every value and sets ``model`` and ``estimator``, which are not fields."""
 
     n: int = 3
     eps: float = 1.0
@@ -78,17 +80,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mitigate", tuple(self.mitigate))
-        object.__setattr__(self, "folds", tuple(int(f) for f in self.folds))
+        object.__setattr__(self, "folds", tuple(self.folds))
         if self.fixed is not None:
             object.__setattr__(self, "fixed", tuple(float(x) for x in self.fixed))
+        optional = [x for x in (("shots", self.shots), ("starts", self.starts)) if x[1] is not None]
+        integers = [("n", self.n), ("seed", self.seed), ("steps", self.steps), *optional]
+        for name, value in integers + [("folds", f) for f in self.folds]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("eps", "v", "w", "noise_readout", "noise_cnot"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.block not in (None, "A", "B"):
             raise ConfigError(f"block must be A or B, got {self.block!r}")
         if self.ansatz not in ("auto", "1q", "2q"):
             raise ConfigError(f"ansatz must be auto, 1q or 2q, got {self.ansatz!r}")
         if self.shots is not None and self.shots < 1:
             raise ConfigError("shots must be a positive integer or 'exact'")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
         if self.starts is not None and self.starts < 1:
@@ -100,44 +109,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mitigation scheme(s): {sorted(unknown)}")
         if self.shots is None and (self.noise_readout or self.noise_cnot or self.mitigate):
             raise ConfigError("exact mode (shots 'exact') takes no noise and no mitigation")
-
-    def model_params(self) -> ModelParams:
         try:
-            return ModelParams(self.n, self.eps, self.v, self.w)
+            model = ModelParams(self.n, self.eps, self.v, self.w)
+            noise = NoiseModel(self.noise_readout, self.noise_readout, self.noise_cnot)
+            mitigation = Mitigation("readout" in self.mitigate, "cnot" in self.mitigate, self.folds)
+            estimator = EstimatorConfig(self.shots, noise, mitigation, self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def noise_model(self) -> NoiseModel:
-        try:
-            return NoiseModel(self.noise_readout, self.noise_readout, self.noise_cnot)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def mitigation(self) -> Mitigation:
-        try:
-            return Mitigation(
-                readout="readout" in self.mitigate,
-                cnot="cnot" in self.mitigate,
-                folds=self.folds,
-                calibration_shots=self.shots,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            shots=self.shots,
-            noise=self.noise_model(),
-            mitigation=self.mitigation(),
-            seed=self.seed,
-        )
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "estimator", estimator)
 
     def to_dict(self) -> dict:
         data = asdict(self)
         data["shots"] = "exact" if self.shots is None else self.shots
-        data["mitigate"] = list(self.mitigate)
-        data["folds"] = list(self.folds)
-        data["fixed"] = list(self.fixed) if self.fixed is not None else None
         data["format_version"] = FORMAT_VERSION
         return data
 
@@ -215,6 +199,21 @@ def _parse_list(text: str, kind):
         raise ConfigError(f"cannot parse list {text!r}") from exc
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"expected an integer or 'exact', got {text!r}") from exc
+
+
+_FLAG_PARSERS = {
+    "shots": lambda text: text if text == "exact" else _parse_int(text),
+    "mitigate": lambda text: _parse_list(text, str),
+    "folds": lambda text: _parse_list(text, int),
+    "fixed": lambda text: _parse_list(text, float),
+}
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
@@ -225,34 +224,16 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             data.update(json.loads(path.read_text()))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    simple = ("n", "eps", "v", "w", "block", "ansatz", "seed",
-              "noise_readout", "noise_cnot", "starts", "steps", "out", "format")
-    for name in simple:
-        value = getattr(args, name)
-        if value is not None:
-            data[name] = value
-    if args.shots is not None:
-        data["shots"] = args.shots if args.shots == "exact" else _parse_int(args.shots)
-    if args.mitigate is not None:
-        data["mitigate"] = _parse_list(args.mitigate, str)
-    if args.folds is not None:
-        data["folds"] = _parse_list(args.folds, int)
-    if args.fixed is not None:
-        data["fixed"] = _parse_list(args.fixed, float)
+    for name, value in vars(args).items():
+        if value is not None and name not in ("command", "config"):
+            data[name] = _FLAG_PARSERS[name](value) if name in _FLAG_PARSERS else value
     return ExperimentConfig.from_dict(data)
-
-
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer or 'exact', got {text!r}") from exc
 
 
 # ------------------------------------------------------------- block setup
 
 def _selected_blocks(config: ExperimentConfig, default_both: bool) -> list[QuasispinBlock]:
-    a, b = build_blocks(config.model_params())
+    a, b = build_blocks(config.model)
     if config.block == "A":
         return [a]
     if config.block == "B":
@@ -421,7 +402,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         h, h2 = _hamiltonians(block)
         points = sweep(
             h, h2, circuit, parameter_index=0, grid=grid,
-            config=config.estimator_config(), fixed_parameters=config.fixed,
+            config=config.estimator, fixed_parameters=config.fixed,
         )
         for point in points:
             rows.append({
@@ -447,7 +428,7 @@ def cmd_minimize(config: ExperimentConfig) -> int:
     h, h2 = _hamiltonians(block)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     initial = rng.uniform(-np.pi, np.pi, size=circuit.num_parameters)
-    trace = minimize_variance(h, h2, circuit, initial, config.estimator_config())
+    trace = minimize_variance(h, h2, circuit, initial, config.estimator)
     doc = _trace_doc(trace, config, block)
     if out is not None:
         (out / "minimize.json").write_text(_dump_json(doc))
@@ -467,7 +448,7 @@ def _spectrum_report(config: ExperimentConfig):
     h, h2 = _hamiltonians(block)
     starts = config.starts if config.starts is not None else (20 if block.dim == 2 else 40)
     report = discover_spectrum(
-        h, h2, circuit, starts, config.estimator_config(), master_seed=config.seed
+        h, h2, circuit, starts, config.estimator, master_seed=config.seed
     )
     return block, circuit, report
 
@@ -522,15 +503,11 @@ def _cluster_rows(config: ExperimentConfig, block, report) -> list[dict]:
             "stderr": _fmt(match.stderr) if match else "",
             "variance": _fmt(match.variance) if match else "",
         }
-        if reference is not None and ordinal < len(reference):
+        if reference is not None:
             _, ref_var, ref_value, ref_err = reference[ordinal]
             row["published_qc_value"] = _fmt(ref_value)
             row["published_qc_uncertainty"] = _fmt(ref_err)
             row["published_qc_variance"] = _fmt(ref_var)
-        elif reference is not None:
-            row["published_qc_value"] = ""
-            row["published_qc_uncertainty"] = ""
-            row["published_qc_variance"] = ""
         rows.append(row)
     return rows
 

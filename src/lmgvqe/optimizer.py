@@ -128,11 +128,15 @@ def _threshold(config: EstimatorConfig, variance_stderr: float) -> float:
     return max(2.0 * variance_stderr, SAMPLED_VARIANCE_FLOOR)
 
 
+def _cluster_radius(stderr: float) -> float:
+    """How far an energy may lie from a cluster's center and still belong to it."""
+    return max(5.0 * stderr, CLUSTER_RADIUS_FLOOR)
+
+
 def _matching_cluster(clusters, value: float) -> SpectrumCluster | None:
-    """The first cluster within max(5 * stderr, CLUSTER_RADIUS_FLOOR) of an
-    exact eigenvalue, or None."""
+    """The first cluster within ``_cluster_radius`` of an exact eigenvalue, or None."""
     for cluster in clusters:
-        if abs(cluster.energy - value) <= max(5.0 * cluster.stderr, CLUSTER_RADIUS_FLOOR):
+        if abs(cluster.energy - value) <= _cluster_radius(cluster.stderr):
             return cluster
     return None
 
@@ -304,7 +308,7 @@ def sweep(
     one parameter need ``fixed_parameters`` supplying the other slots.
     """
     k = circuit.num_parameters
-    if not 0 <= parameter_index < max(k, 1):
+    if not 0 <= parameter_index < k:
         raise ValueError(f"parameter_index {parameter_index} out of range for {k} slots")
     if grid is None:
         grid = np.linspace(-np.pi, np.pi, 50)
@@ -342,9 +346,9 @@ def accidental_zero_check(
     because the underlying state is not close to any eigenvector.
     """
     state = run(circuit, parameters).amplitudes
-    matrix = h.matrix
-    energy = float(np.vdot(state, matrix @ state).real)
-    residual = float(np.linalg.norm(matrix @ state - energy * state))
+    h_state = h.matrix @ state
+    energy = float(np.vdot(state, h_state).real)
+    residual = float(np.linalg.norm(h_state - energy * state))
     return residual < tolerance, residual
 
 
@@ -360,7 +364,7 @@ def discover_spectrum(
     """Run ``n_starts`` seeded minimizations and cluster the found energies.
 
     Starting parameters are uniform over [-pi, pi]^k.  Converged runs are
-    grouped with radius max(5 * stderr, 1e-3); each cluster representative
+    grouped within ``_cluster_radius`` of each other; each cluster representative
     must pass the accidental-zero check before the cluster is reported.
     Coverage is the fraction of exact eigenvalues matched by some cluster.
     """
@@ -389,7 +393,7 @@ def discover_spectrum(
                 [traces[m].final.energy_stderr for m in members]
                 + [traces[i].final.energy_stderr]
             )
-            if abs(energy - center) <= max(5.0 * spread, CLUSTER_RADIUS_FLOOR):
+            if abs(energy - center) <= _cluster_radius(spread):
                 members.append(i)
                 placed = True
         if not placed:

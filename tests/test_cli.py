@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lmgvqe import EstimatorConfig, Mitigation, NoiseModel
 from lmgvqe.cli import ConfigError, ExperimentConfig, main
 
 from conftest import N3_A_EIGS, N7_EIGS
@@ -239,3 +240,47 @@ class TestConfigHandling:
         assert main(["minimize", "--n", "3", "--shots", "exact", "--seed", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["shots"] == "exact"
+
+
+class TestConfigBuiltOnce:
+    @pytest.mark.parametrize("extra", [
+        ["--mitigate", "cnot", "--folds", "2"],
+        ["--noise-readout", "1.5"],
+    ])
+    def test_decompose_checks_noise_and_mitigation(self, extra, capsys):
+        assert main(["decompose", "--n", "3", "--shots", "10", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("fields", [
+        {"n": 0},
+        {"eps": -1.0},
+        {"shots": 10, "noise_readout": 1.5},
+        {"shots": 10, "noise_cnot": 0.7},
+        {"shots": 10, "mitigate": ("cnot",), "folds": (1, 2)},
+    ])
+    def test_invalid_library_value_rejected_at_construction(self, fields):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**fields)
+
+    def test_estimator_built_from_fields(self):
+        config = ExperimentConfig(n=7, shots=500, seed=4, noise_readout=0.02, noise_cnot=0.01,
+                                  mitigate=("readout", "cnot"), folds=(1, 3, 5))
+        assert config.estimator == EstimatorConfig(
+            500, NoiseModel(0.02, 0.02, 0.01), Mitigation(True, True, (1, 3, 5)), 4
+        )
+
+    @pytest.mark.parametrize("command, data", [
+        (["minimize", "--n", "3", "--block", "A"], {"shots": 2.5}),
+        (["minimize", "--n", "3", "--shots", "100", "--mitigate", "cnot"], {"folds": [1, 3.5]}),
+        (["decompose"], {"n": True}),
+        (["minimize", "--n", "3"], {"seed": 1.5}),
+        (["spectrum", "--n", "3"], {"starts": 2.5}),
+        (["sweep", "--n", "3"], {"steps": 2.5}),
+    ])
+    def test_mistyped_config_values_exit_2(self, command, data, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")

@@ -220,6 +220,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(n3_a.h, n3_a.h2, ansatz_1q(), grid=[], config=EXACT)
 
+    def test_circuit_without_parameters_rejected(self):
+        x = PauliSum.from_terms([(1.0, PauliString.from_text("X0", 1))], 1)
+        identity = PauliSum.from_terms([(1.0, PauliString.from_text("I", 1))], 1)
+        with pytest.raises(ValueError, match="parameter_index 0 out of range for 0 slots"):
+            sweep(x, identity, Circuit(1, (Gate("x", target=0),)), config=EXACT)
+
     def test_multi_parameter_circuit_needs_fixed_values(self, n7_a):
         with pytest.raises(ValueError):
             sweep(n7_a.h, n7_a.h2, ansatz_2q(), config=EXACT)
