@@ -137,9 +137,6 @@ class Statevector:
     def num_qubits(self) -> int:
         return len(self.amplitudes).bit_length() - 1
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def ansatz_1q() -> Circuit:
     """One qubit, one parameterized RY: prepares cos(t/2)|0> + sin(t/2)|1>."""

@@ -79,6 +79,17 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        lists = [("mitigate", self.mitigate), ("folds", self.folds)]
+        if self.fixed is not None:
+            lists.append(("fixed", self.fixed))
+        for name, value in lists:
+            if not isinstance(value, (list, tuple)):  # a string would split into characters
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+        for value in self.fixed or ():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"fixed entries must be real numbers, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         object.__setattr__(self, "mitigate", tuple(self.mitigate))
         object.__setattr__(self, "folds", tuple(self.folds))
         if self.fixed is not None:
@@ -221,9 +232,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            data.update(json.loads(path.read_text()))
+            data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
     for name, value in vars(args).items():
         if value is not None and name not in ("command", "config"):
             data[name] = _FLAG_PARSERS[name](value) if name in _FLAG_PARSERS else value

@@ -17,9 +17,10 @@ integer selects sampled estimation.  In exact mode each term mean is
 same functions without building a result, and checks the problem once per
 objective rather than once per evaluation.
 
-In sampled mode each CNOT fold prepares its state once into a table of
-outcome distributions (``outcome_distributions``), from which every term
-draws its own seeded shots.  A term's mean is s . q for its parity signs s
+In sampled mode each estimate prepares its state once into one table of
+ideal per-basis distributions; each CNOT fold mixes in its noise and gives
+one outcome distribution per term, from which every term draws its own
+seeded shots.  A term's mean is s . q for its parity signs s
 (``PauliSum.measured_signs``) and q = A^-1 f, the frequencies f corrected
 by the readout calibration A (A = I without one).  As a weighted count
 w . f with w = A^-T s, its first-order variance is
@@ -39,7 +40,14 @@ import numpy as np
 from .circuits import Circuit, Statevector, fold_cnots, run
 from .mitigation import ConfusionMatrix, Mitigation, calibrate, cnot_extrapolate, mitigate_counts
 from .pauli import PauliString, PauliSum, parity_signs
-from .simulator import NOISELESS, NoiseModel, _checked_counts, measure_term, outcome_distributions
+from .simulator import (
+    NOISELESS,
+    NoiseModel,
+    _basis_table,
+    _checked_counts,
+    _noisy_rows,
+    measure_term,
+)
 
 __all__ = ["EstimationResult", "expectation_exact", "expectation_from_counts", "estimate"]
 
@@ -169,10 +177,13 @@ def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, m
         cal_shots = mitigation.calibration_shots or shots
         cal = calibrate(circuit.num_qubits, noise, cal_shots, next(streams))
 
+    # odd folds prepare the same amplitudes, so one state and one basis
+    # table serve every fold; the folded circuit only gives its CNOT count
+    table, index = _basis_table(run(circuit, parameters), all_strings)
     counts = []
     for fold in folds:
-        table = outcome_distributions(fold_cnots(circuit, fold), parameters, all_strings, noise)
-        counts.append([measure_term(row, shots, next(streams)) for row in table])
+        rows = _noisy_rows(table, index, fold_cnots(circuit, fold).num_cnots, noise)
+        counts.append([measure_term(row, shots, next(streams)) for row in rows])
     counts = np.array(counts).reshape(len(folds), *signs.shape)
     means, stderrs = _term_estimates(counts, signs, cal)  # each (folds, terms)
     if len(folds) > 1:

@@ -4,10 +4,15 @@ Each Pauli term is measured with its own circuit: the ansatz circuit is
 followed by a basis-change rotation on every qubit where the term acts with
 X or Y, then all qubits are read out in the computational basis.
 ``outcome_distributions`` computes the exact noisy outcome distribution of
-every term's measurement circuit as one table: the ansatz state is prepared
-once and rotated once per distinct basis.  ``measure_term`` samples one row
-with a single multinomial draw, so every term still gets its own seeded
-shots.  Each CNOT is followed, with probability ``cnot_depolarizing``, by a
+every term's measurement circuit as one table, in two halves:
+``_basis_table`` rotates a prepared state once per distinct basis into a
+table of ideal distributions, and ``_noisy_rows`` mixes in the noise of a
+CNOT count and the readout, then gathers one row per term.  The estimator
+prepares the state once per estimate and runs the first half once, the
+second once per CNOT fold.  ``measure_term`` samples one row with a single
+multinomial draw, so every term still gets its own seeded shots.
+
+Each CNOT is followed, with probability ``cnot_depolarizing``, by a
 uniformly random non-identity two-qubit Pauli; on the supported registers
 (at most two qubits) this is global depolarizing, so after k CNOTs the
 ideal distribution p becomes lambda^k p + (1 - lambda^k) / 2^n with
@@ -23,11 +28,11 @@ quasi-probabilities and parity signs use the same index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuits import Circuit, apply_single_qubit, ry_matrix, run
+from .circuits import Circuit, Statevector, apply_single_qubit, ry_matrix, run
 
 __all__ = [
     "NoiseModel",
@@ -75,47 +80,65 @@ NOISELESS = NoiseModel()
 DEFAULT_SYNTHETIC_NOISE = NoiseModel(readout_p01=0.02, readout_p10=0.02, cnot_depolarizing=0.01)
 
 
+@lru_cache(maxsize=32)
 def _readout_matrix(noise: NoiseModel, num_qubits: int) -> np.ndarray:
-    """Kron product of the 2x2 confusion matrices: P(read i | outcome j) at (i, j)."""
+    """Kron product of the 2x2 confusion matrices: P(read i | outcome j) at (i, j).
+    Built once per noise model and register, so the array is read-only."""
     p01, p10 = noise.readout_p01, noise.readout_p10
     confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-    return reduce(np.kron, [confusion] * num_qubits)
+    matrix = reduce(np.kron, [confusion] * num_qubits)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _basis_table(state: Statevector, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal outcome distribution of each distinct measurement basis (the
+    X/Y positions of a term), shape (bases, 2^n), and each term's row in it.
+    The state is rotated once per basis."""
+    n = state.num_qubits
+    if any(term.num_qubits != n for term in terms):
+        raise ValueError(f"every term must act on the circuit's {n} qubits")
+    rows, row_of, index = [], {}, []
+    for term in terms:
+        basis = tuple(label if label in "XY" else "Z" for label in term.labels)
+        if basis not in row_of:
+            row_of[basis] = len(rows)
+            rotated = state.amplitudes
+            for q, label in enumerate(basis):
+                if label != "Z":
+                    rotated = apply_single_qubit(rotated, n, q, _BASIS_CHANGES[label])
+            p = np.abs(rotated) ** 2
+            rows.append(p / p.sum())
+        index.append(row_of[basis])
+    return np.array(rows).reshape(len(rows), 2**n), np.array(index, dtype=np.intp)
+
+
+def _noisy_rows(table: np.ndarray, index: np.ndarray, num_cnots: int, noise: NoiseModel):
+    """Rows of ``_basis_table`` after ``num_cnots`` noisy CNOTs and readout,
+    one per term.  The closed-form CNOT channel (module docstring) needs every
+    CNOT to touch the whole register, so it commutes with every later gate."""
+    survival = (1.0 - 16.0 * noise.cnot_depolarizing / 15.0) ** num_cnots
+    n = table.shape[1].bit_length() - 1
+    if survival < 1.0 and n > 2:
+        raise ValueError(f"CNOT noise is only modelled on registers of at most 2 qubits, got {n}")
+    mixed = survival * table + (1.0 - survival) / table.shape[1]  # table itself at survival 1
+    if noise.has_readout_error:
+        readout = _readout_matrix(noise, n)
+        # one vector at a time: a batched product may round differently
+        mixed = np.array([readout @ p for p in mixed]).reshape(table.shape)
+    return mixed[index]
 
 
 def outcome_distributions(
     circuit: Circuit, parameters, terms, noise: NoiseModel = NOISELESS
 ) -> np.ndarray:
     """Exact read-outcome distribution of each term's measurement circuit,
-    shape (len(terms), 2^n).  The state is prepared once and rotated once
-    per distinct basis (the X/Y positions of a term).  The closed-form CNOT
-    channel (module docstring) needs every CNOT to touch the whole register,
-    so it commutes with every later gate."""
-    n = circuit.num_qubits
-    if any(term.num_qubits != n for term in terms):
-        raise ValueError(f"every term must act on the circuit's {n} qubits")
-    rows = np.empty((len(terms), 2**n))
-    if not len(rows):  # nothing to measure, so no state to prepare
-        return rows
-    survival = (1.0 - 16.0 * noise.cnot_depolarizing / 15.0) ** circuit.num_cnots
-    if survival < 1.0 and n > 2:
-        raise ValueError(f"CNOT noise is only modelled on registers of at most 2 qubits, got {n}")
-    readout = _readout_matrix(noise, n) if noise.has_readout_error else None
-    amps = run(circuit, parameters).amplitudes
-    by_basis = {}
-    for row, term in zip(rows, terms):
-        basis = tuple(label if label in "XY" else "Z" for label in term.labels)
-        if basis not in by_basis:
-            rotated = amps
-            for q, label in enumerate(basis):
-                if label != "Z":
-                    rotated = apply_single_qubit(rotated, n, q, _BASIS_CHANGES[label])
-            p = np.abs(rotated) ** 2
-            p /= p.sum()
-            p = survival * p + (1.0 - survival) / p.size  # leaves p as is at survival 1
-            # one vector at a time: a batched product may round differently
-            by_basis[basis] = p if readout is None else readout @ p
-        row[:] = by_basis[basis]
-    return rows
+    shape (len(terms), 2^n): ``_noisy_rows`` of the ``_basis_table`` of the
+    prepared state."""
+    if not len(terms):  # nothing to measure, so no state to prepare
+        return np.empty((0, 2**circuit.num_qubits))
+    table, index = _basis_table(run(circuit, parameters), terms)
+    return _noisy_rows(table, index, circuit.num_cnots, noise)
 
 
 def measure_term(distribution, shots: int, seed=0) -> np.ndarray:

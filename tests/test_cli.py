@@ -284,3 +284,18 @@ class TestConfigBuiltOnce:
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("data", [
+        {"fixed": [True, 0.3, -0.2]},
+        {"mitigate": "readout"},
+        {"folds": "13"},
+        [1, 2],
+        {"out": 5},
+    ])
+    def test_config_values_of_wrong_type_exit_2(self, data, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        args = ["sweep", "--n", "7", "--block", "A", "--steps", "2", "--config", str(path)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")

@@ -23,7 +23,13 @@ from lmgvqe import (
     run,
 )
 from lmgvqe.circuits import apply_single_qubit
-from lmgvqe.simulator import _X_BASIS_CHANGE, _Y_BASIS_CHANGE
+from lmgvqe.simulator import (
+    _X_BASIS_CHANGE,
+    _Y_BASIS_CHANGE,
+    _basis_table,
+    _noisy_rows,
+    _readout_matrix,
+)
 from lmgvqe.pauli import PAULI_MATRICES
 
 Z0 = PauliString(("Z",))
@@ -291,6 +297,34 @@ class TestOutcomeTable:
         (row_z0, counts_z0), (row_z1, counts_z1) = draws[:2]
         assert np.array_equal(row_z0, row_z1)
         assert not np.array_equal(counts_z0, counts_z1)
+
+    @pytest.mark.parametrize("fold", [1, 3, 5])
+    def test_one_basis_table_serves_every_fold(self, fold):
+        # odd folds prepare the same amplitudes, so the estimator's table,
+        # built once from the unfolded circuit, gives each fold's rows
+        rng = np.random.default_rng(200 + fold)
+        circuit, folded = ansatz_2q(), fold_cnots(ansatz_2q(), fold)
+        terms = [PauliString(labels) for labels in product("IXYZ", repeat=2)]
+        for p_cnot in (0.0, 0.2):
+            params = tuple(rng.uniform(-np.pi, np.pi, 3))
+            noise = NoiseModel(*rng.uniform(0.0, 0.3, 2), p_cnot)
+            table, index = _basis_table(run(circuit, params), terms)
+            rows = _noisy_rows(table, index, folded.num_cnots, noise)
+            assert np.array_equal(rows, outcome_distributions(folded, params, terms, noise))
+            for row, term in zip(rows, terms):
+                assert np.array_equal(row, per_term_distribution(folded, params, term, noise))
+                expected = density_matrix_distribution(
+                    folded, params, term, noise.readout_p01, noise.readout_p10, p_cnot
+                )
+                np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+    def test_readout_matrix_built_once_and_read_only(self):
+        noise = NoiseModel(0.02, 0.05)
+        matrix = _readout_matrix(noise, 2)
+        assert _readout_matrix(NoiseModel(0.02, 0.05), 2) is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
 
     def test_no_terms_gives_empty_table(self):
         table = outcome_distributions(ansatz_2q(), (0.1, 0.2, 0.3), [])
