@@ -118,8 +118,6 @@ class ExperimentConfig:
         unknown = set(self.mitigate) - {"readout", "cnot"}
         if unknown:
             raise ConfigError(f"unknown mitigation scheme(s): {sorted(unknown)}")
-        if self.shots is None and (self.noise_readout or self.noise_cnot or self.mitigate):
-            raise ConfigError("exact mode (shots 'exact') takes no noise and no mitigation")
         try:
             model = ModelParams(self.n, self.eps, self.v, self.w)
             noise = NoiseModel(self.noise_readout, self.noise_readout, self.noise_cnot)

@@ -4,18 +4,19 @@ The optimization objective is the Hamiltonian variance
 
     sigma^2 = <H^2> - <H>^2,
 
-which is non-negative and vanishes exactly on eigenstates.  <H> and <H^2>
-are assembled term by term from the Pauli decompositions of the block matrix
-and of its square; every non-identity term gets its own measurement circuit,
-while identity terms contribute their coefficients exactly.  Both sums
-carry their term tables (``PauliSum.measured_arrays``), built once each.
+which is non-negative and vanishes exactly on eigenstates.  Sampled <H> and
+<H^2> are assembled term by term from the Pauli decompositions of the block
+matrix and of its square; every non-identity term gets its own measurement
+circuit, while identity terms contribute their coefficients exactly.  Both
+sums carry their term tables (``PauliSum.measured_arrays``), built once each.
 
 ``shots=None`` selects exact (infinite-shot) noiseless expectation values
 from the statevector and rejects any noise or mitigation; any positive
-integer selects sampled estimation.  In exact mode each term mean is
-<psi|P|psi>.  ``_exact_objective`` gives the optimizer <H> and <H^2> by the
-same functions without building a result, and checks the problem once per
-objective rather than once per evaluation.
+integer selects sampled estimation.  Exact <H> and <H^2> are <psi|H|psi> and
+<psi|H^2|psi> on the cached dense matrices (``expectation_exact``), the
+reads ``_exact_objective`` gives the optimizer after checking the problem
+once; each exact term mean is s . p on the ideal table the sampled path
+draws from.
 
 In sampled mode each estimate prepares its state once into one table of
 ideal per-basis distributions; each CNOT fold mixes in its noise and gives
@@ -28,7 +29,9 @@ w . f with w = A^-T s, its first-order variance is
     (sum w^2 f - mean^2) / shots + sum_j q_j^2 (sum_i w_i^2 A_ij - 1) / cal_shots,
 
 where the second part is the noise of each calibrated column j
-(Maciejewski, Zimboras & Oszmaniec, Quantum 4, 257, 2020).
+(Maciejewski, Zimboras & Oszmaniec, Quantum 4, 257, 2020).  A term with
+every shot on one sign gets at least the Agresti-Coull variance
+4 p (1 - p) / (shots + 4), p = 2 / (shots + 4), instead of 0.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .simulator import (
     NOISELESS,
     NoiseModel,
     _basis_table,
+    _check_shots,
     _checked_counts,
     _noisy_rows,
     measure_term,
@@ -95,32 +99,14 @@ def _reject_noise_in_exact_mode(noise: NoiseModel, mitigation: Mitigation) -> No
         raise ValueError("exact mode (shots=None) models no noise and applies no mitigation")
 
 
-def _exact_term_means(state: Statevector, psum: PauliSum) -> np.ndarray:
-    _, _, strings, stack = psum.measured_arrays
-    if len(strings) == 0:
-        return np.zeros(0)
-    amps = state.amplitudes
-    return np.einsum("i,tij,j->t", amps.conj(), stack, amps).real
-
-
-def _exact_means(circuit: Circuit, parameters, h: PauliSum, h2: PauliSum):
-    """Exact term means of ``h`` and of ``h2``, one array per sum:
-    betas @ means over a slice of one joined array can differ in the last
-    bit."""
-    state = run(circuit, parameters)
-    return _exact_term_means(state, h), _exact_term_means(state, h2)
-
-
 def _exact_objective(circuit: Circuit, h: PauliSum, h2: PauliSum):
     """``parameters -> (<H>, <H^2>)`` in exact mode, equal bit for bit to
     ``estimate``'s energy and h_squared.  The problem is checked here, once."""
     _verify_problem(circuit, h, h2)
-    const_h, betas_h, _, _ = h.measured_arrays
-    const_2, betas_2, _, _ = h2.measured_arrays
 
     def moments(parameters) -> tuple[float, float]:
-        means_h, means_2 = _exact_means(circuit, parameters, h, h2)
-        return _weighted(const_h, betas_h, means_h), _weighted(const_2, betas_2, means_2)
+        state = run(circuit, parameters)
+        return expectation_exact(state, h), expectation_exact(state, h2)
 
     return moments
 
@@ -139,6 +125,10 @@ def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal: ConfusionMatrix 
         cal_var = (q**2 * (w**2 @ cal.matrix - 1.0)).sum(axis=-1) / cal.shots_per_column
     mean = (signs * q).sum(axis=-1)
     var = ((w**2 * counts).sum(axis=-1) / shots - mean**2) / shots + cal_var
+    one_sign = np.abs((signs * counts).sum(axis=-1)) == shots
+    if one_sign.any():  # the Agresti-Coull floor of the module docstring
+        p = 2.0 / (shots + 4.0)
+        var = np.where(one_sign, np.maximum(var, 4.0 * p * (1.0 - p) / (shots + 4.0)), var)
     return mean, np.sqrt(np.maximum(var, 0.0))
 
 
@@ -156,13 +146,10 @@ def expectation_from_counts(
     return float(mean[0]), float(stderr[0])
 
 
-def _weighted(const: float, betas: np.ndarray, means: np.ndarray) -> float:
-    return const + float(betas @ means) if len(betas) else const
-
-
 def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.ndarray):
-    stderr = float(np.sqrt(np.sum(betas**2 * stderrs**2))) if len(betas) else 0.0
-    return _weighted(const, betas, means), stderr
+    if not len(betas):
+        return const, 0.0
+    return const + float(betas @ means), float(np.sqrt(np.sum(betas**2 * stderrs**2)))
 
 
 def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, mitigation, seed):
@@ -174,7 +161,7 @@ def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, m
     streams = iter(ss.spawn(n_streams))
     cal = None
     if mitigation.readout:
-        cal_shots = mitigation.calibration_shots or shots
+        cal_shots = shots if mitigation.calibration_shots is None else mitigation.calibration_shots
         cal = calibrate(circuit.num_qubits, noise, cal_shots, next(streams))
 
     # odd folds prepare the same amplitudes, so one state and one basis
@@ -212,27 +199,26 @@ def estimate(
     _verify_problem(circuit, h, h2)
     parameters = tuple(float(p) for p in parameters)
 
-    const_h, betas_h, strings_h, _ = h.measured_arrays
-    const_2, betas_2, strings_2, _ = h2.measured_arrays
+    const_h, betas_h, strings_h = h.measured_arrays
+    const_2, betas_2, strings_2 = h2.measured_arrays
     all_strings = strings_h + strings_2
+    signs = np.concatenate([h.measured_signs, h2.measured_signs])
     if shots is None:
         _reject_noise_in_exact_mode(noise, mitigation)
-        means_h, means_2 = _exact_means(circuit, parameters, h, h2)
-        stderrs_h, stderrs_2 = np.zeros_like(means_h), np.zeros_like(means_2)
-    elif shots < 1:
-        raise ValueError("shots must be positive (or None for exact mode)")
+        state = run(circuit, parameters)
+        table, index = _basis_table(state, all_strings)
+        means, stderrs = (signs * table[index]).sum(-1), np.zeros(len(all_strings))
+        energy, energy_stderr = expectation_exact(state, h), 0.0
+        h_sq, h_sq_stderr = expectation_exact(state, h2), 0.0
     else:
-        signs = np.concatenate([h.measured_signs, h2.measured_signs])
+        _check_shots(shots)
         means, stderrs = _sampled_term_means(
             circuit, parameters, all_strings, signs, shots, noise, mitigation, seed
         )
-        means_h, means_2 = np.split(means, [len(strings_h)])
-        stderrs_h, stderrs_2 = np.split(stderrs, [len(strings_h)])
-    energy, energy_stderr = _combine(const_h, betas_h, means_h, stderrs_h)
-    h_sq, h_sq_stderr = _combine(const_2, betas_2, means_2, stderrs_2)
-    per_term = zip(
-        all_strings, means_h.tolist() + means_2.tolist(), stderrs_h.tolist() + stderrs_2.tolist()
-    )
+        split = len(strings_h)
+        energy, energy_stderr = _combine(const_h, betas_h, means[:split], stderrs[:split])
+        h_sq, h_sq_stderr = _combine(const_2, betas_2, means[split:], stderrs[split:])
+    per_term = zip(all_strings, means.tolist(), stderrs.tolist())
     return EstimationResult(
         energy=energy,
         energy_stderr=energy_stderr,

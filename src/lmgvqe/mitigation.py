@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import NoiseModel, _checked_counts, _readout_matrix, measure_term
+from .simulator import NoiseModel, _check_shots, _checked_counts, _readout_matrix, measure_term
 
 __all__ = [
     "Mitigation",
@@ -35,7 +35,7 @@ class MitigationError(RuntimeError):
 class Mitigation:
     """Which mitigation passes to apply during estimation.
 
-    ``calibration_shots`` defaults to the measurement shot count; the
+    ``calibration_shots`` defaults (None) to the measurement shot count; the
     calibration is re-run on every estimate so corrections stay current.
     Readout correction is applied to each fold's counts first, then the
     CNOT extrapolation runs across folds.
@@ -48,6 +48,8 @@ class Mitigation:
 
     def __post_init__(self):
         object.__setattr__(self, "folds", tuple(self.folds))
+        if self.calibration_shots is not None:
+            _check_shots(self.calibration_shots, "calibration_shots")
         if self.cnot:
             if len(set(self.folds)) < 2:
                 raise ValueError("cnot mitigation needs at least two distinct folds")
@@ -86,8 +88,7 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be positive")
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    _check_shots(shots)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = ss.spawn(2**num_qubits)
     readout = _readout_matrix(noise, num_qubits)

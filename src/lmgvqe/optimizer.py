@@ -8,8 +8,9 @@ above the convergence threshold and evaluation budget remains, the search
 resumes from the best point with a smaller initial simplex.
 
 In exact mode an evaluation only prepares the state and reads <H> and <H^2>
-(``estimator._exact_objective``, bit-identical to ``estimate``); a trace's
-final result is one ``estimate``.  Each trace records why it stopped.
+from the cached dense matrices (``estimator._exact_objective``, the same
+reads as ``estimate``, so bit-identical to it); a trace's final result is
+one ``estimate``.  Each trace records why it stopped.
 
 Every candidate eigenvalue is screened with an accidental-zero check: the
 residual ||H psi - <H> psi|| of the noiseless state, which catches variance
@@ -63,6 +64,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.exact:
+            _reject_noise_in_exact_mode(self.noise, self.mitigation)
 
     @property
     def exact(self) -> bool:
@@ -155,11 +158,10 @@ def _point_evaluator(h: PauliSum, h2: PauliSum, circuit: Circuit, config: Estima
     builds no result (None); its values equal ``estimate``'s bit for bit."""
     if config.exact:
         moments = _exact_objective(circuit, h, h2)
-        _reject_noise_in_exact_mode(config.noise, config.mitigation)
 
         def exact(params, index):
             energy, h_sq = moments(params)
-            # +0.0 stderrs, as _combine and the variance stderr formula give
+            # +0.0 stderrs, as exact estimate gives
             return (energy, h_sq - energy**2, 0.0, 0.0), None
 
         return exact

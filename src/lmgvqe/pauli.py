@@ -129,9 +129,9 @@ class PauliSum:
 
     Coefficients are real for Hermitian operators; operator products
     (see :func:`multiply`) may carry complex weights.  Derived data (the
-    dense matrix, the measured-term arrays and their parity signs) is built
-    on first use and kept on the instance; equality and hashing still see
-    only the fields.
+    dense matrix, which every exact read of the sum uses, the measured-term
+    arrays and their parity signs) is built on first use and kept on the
+    instance; equality and hashing still see only the fields.
     """
 
     terms: tuple[tuple[float | complex, PauliString], ...]
@@ -196,20 +196,12 @@ class PauliSum:
 
     @cached_property
     def measured_arrays(self):
-        """Identity offset, measured-term coefficients, their strings and
-        their stacked matrices of shape (terms, 2^m, 2^m); arrays read-only."""
+        """Identity offset, measured-term coefficients (read-only) and their
+        strings; exact reads of the whole sum use :attr:`matrix` instead."""
         const = float(self.identity_coefficient)
         betas = np.array([c for c, _ in self.measured_terms], dtype=float)
-        strings = tuple(s for _, s in self.measured_terms)
-        dim = 2**self.num_qubits
-        stack = (
-            np.stack([string_matrix(s) for s in strings])
-            if strings
-            else np.zeros((0, dim, dim), dtype=complex)
-        )
         betas.setflags(write=False)
-        stack.setflags(write=False)
-        return const, betas, strings, stack
+        return const, betas, tuple(s for _, s in self.measured_terms)
 
     @cached_property
     def measured_signs(self) -> np.ndarray:

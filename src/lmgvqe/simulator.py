@@ -27,6 +27,7 @@ quasi-probabilities and parity signs use the same index.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -145,13 +146,18 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     """Counts of ``shots`` readouts: one multinomial draw from one outcome
     distribution, deterministic for a fixed ``seed`` (an int or a
     SeedSequence, so callers can derive per-term streams)."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    _check_shots(shots)
     dist = np.asarray(distribution, dtype=float)
     # NaN fails both comparisons, and +inf fails the sum
     if dist.ndim != 1 or not (abs(dist.sum() - 1.0) <= 1e-9 and dist.min() >= 0.0):
         raise ValueError("distribution must be a finite, non-negative vector summing to 1")
     return np.random.default_rng(seed).multinomial(shots, dist)
+
+
+def _check_shots(shots, name: str = "shots") -> None:
+    """Reject a shot count that is not a positive integer (bools included)."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"{name} must be a positive integer, got {shots!r}")
 
 
 def _checked_counts(counts, num_qubits: int) -> np.ndarray:

@@ -55,6 +55,17 @@ class TestSweep:
         energies = [float(r["energy"]) for r in rows]
         assert min(energies) == pytest.approx(N3_A_EIGS[0], abs=0.01)
 
+    def test_one_shot_sweep_has_positive_stderr(self, tmp_path):
+        # one shot puts every term on one sign; the stderr is floored, not 0
+        assert main([
+            "sweep", "--n", "7", "--block", "A", "--shots", "1", "--fixed", "0,0.5,0",
+            "--steps", "3", "--out", str(tmp_path),
+        ]) == 0
+        rows = read_csv_rows(tmp_path / "sweep.csv")
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["energy_stderr"]) > 0 and float(row["variance_stderr"]) > 0
+
     def test_two_qubit_sweep_requires_fixed(self, tmp_path, capsys):
         assert main(["sweep", "--n", "7", "--block", "A"]) == 2
         assert main([

@@ -8,6 +8,7 @@ from lmgvqe import (
     NoiseModel,
     ansatz_1q,
     ansatz_2q,
+    calibrate,
     estimate,
     expectation_exact,
     expectation_from_counts,
@@ -16,7 +17,7 @@ from lmgvqe import (
     square_block,
 )
 from lmgvqe.estimator import _term_estimates
-from lmgvqe.pauli import PauliString, PauliSum
+from lmgvqe.pauli import PauliString, PauliSum, string_matrix
 
 from conftest import N3_A_EIGS, eigenstate_parameters_1q, eigenstate_parameters_2q
 
@@ -188,6 +189,31 @@ class TestSampledEstimate:
         with pytest.raises(ValueError):
             estimate(ansatz_1q(), [0.0], n3_a.h, n3_a.h2, shots=0)
 
+    @pytest.mark.parametrize("shots", [2.5, True, 20_000.0], ids=["fraction", "bool", "float"])
+    def test_non_integer_shots(self, n3_a, shots):
+        with pytest.raises(ValueError, match="positive integer"):
+            estimate(ansatz_1q(), [0.3], n3_a.h, n3_a.h2, shots=shots, seed=1)
+
+    @pytest.mark.parametrize("calibration_shots", [0, 2.5, True])
+    def test_invalid_calibration_shots(self, calibration_shots):
+        with pytest.raises(ValueError, match="calibration_shots must be a positive integer"):
+            Mitigation(readout=True, calibration_shots=calibration_shots)
+
+    def test_calibration_shots_default_to_shots(self, n3_a, monkeypatch):
+        import lmgvqe.estimator as estimator_module
+
+        used = []
+
+        def recording(num_qubits, noise, shots, seed=0):
+            used.append(shots)
+            return calibrate(num_qubits, noise, shots, seed)
+
+        monkeypatch.setattr(estimator_module, "calibrate", recording)
+        for calibration_shots in (None, 300):
+            estimate(ansatz_1q(), [0.3], n3_a.h, n3_a.h2, shots=1000, noise=NoiseModel(0.02, 0.02),
+                     mitigation=Mitigation(readout=True, calibration_shots=calibration_shots))
+        assert used == [1000, 300]
+
     @pytest.mark.parametrize("noise,mitigation", [
         (NoiseModel(0.2, 0.2), None),
         (NoiseModel(cnot_depolarizing=0.01), None),
@@ -199,6 +225,33 @@ class TestSampledEstimate:
         with pytest.raises(ValueError):
             estimate(ansatz_1q(), [0.3], n3_a.h, n3_a.h2, shots=None,
                      noise=noise, mitigation=mitigation)
+
+
+class TestExactReads:
+    """Exact estimates against oracles built here from each string's own
+    dense matrix, on 200 seeded points per block."""
+
+    @pytest.mark.parametrize("name", ["n3_a", "n3_b", "n7_a", "n7_b"])
+    def test_against_string_matrix_oracle(self, request, name):
+        setup = request.getfixturevalue(name)
+        n = setup.circuit.num_qubits
+        singles = [PauliSum(((1.0, s),), n) for _, s in setup.h.measured_terms + setup.h2.measured_terms]
+
+        def oracle(psum, amps):
+            return psum.identity_coefficient.real + sum(
+                c * np.vdot(amps, string_matrix(s) @ amps).real for c, s in psum.measured_terms
+            )
+
+        rng = np.random.default_rng(47)
+        for params in rng.uniform(-np.pi, np.pi, (200, setup.circuit.num_parameters)):
+            result = estimate(setup.circuit, params, setup.h, setup.h2)
+            state = run(setup.circuit, params)
+            assert [term for term, _, _ in result.per_term] == [s.measured_terms[0][1] for s in singles]
+            for (_, mean, stderr), single in zip(result.per_term, singles):
+                assert mean == pytest.approx(expectation_exact(state, single), abs=1e-12)
+                assert stderr == 0.0
+            assert result.energy == pytest.approx(oracle(setup.h, state.amplitudes), abs=1e-12)
+            assert result.h_squared == pytest.approx(oracle(setup.h2, state.amplitudes), abs=1e-12)
 
 
 def _numerical_gradient(func, x, step=1e-6):
@@ -276,6 +329,23 @@ class TestWeightedCountStderr:
                 for f in ("energy", "h_squared", "variance")
             ])
         assert np.all(np.std(z, axis=0) <= 1.10)
+
+    def test_one_sign_terms_get_the_agresti_coull_floor(self):
+        signs = np.array([parity_signs(PauliString(l)) for l in (("Z", "I"), ("I", "Z"), ("Z", "Z"))])
+        # term 0 and term 2 have all shots on one sign, term 1 has both
+        counts = np.array([[700, 300, 0, 0], [640, 0, 360, 0], [0, 1000, 0, 0]])
+        one_qubit = np.array([[0.9, 0.2], [0.1, 0.8]])
+        p = 2 / 1004
+        floor = np.sqrt(4 * p * (1 - p) / 1004)
+        for cal in (None, ConfusionMatrix(np.kron(one_qubit, one_qubit), shots_per_column=500)):
+            means, stderrs = _term_estimates(counts, signs, cal)
+            alone = _term_estimates(counts[1:2], signs[1:2], cal)
+            assert (means[1], stderrs[1]) == (alone[0][0], alone[1][0])  # term 1 keeps its bits
+            assert stderrs[0] >= floor * (1 - 1e-12) and stderrs[2] >= floor * (1 - 1e-12)
+        # unmitigated, the floor is the whole variance
+        means, stderrs = _term_estimates(counts, signs, None)
+        assert means[0] == 1.0 and means[2] == -1.0
+        np.testing.assert_allclose(stderrs[[0, 2]], floor, rtol=1e-12)
 
     def test_ill_conditioned_calibration_widens_stderr(self):
         cal = ConfusionMatrix(np.array([[0.6, 0.4], [0.4, 0.6]]), shots_per_column=20_000)

@@ -37,6 +37,12 @@ X0 = PauliString(("X",))
 Y0 = PauliString(("Y",))
 
 
+def agresti_coull_stderr(shots):
+    """Stderr floor of a term whose shots all land on one sign."""
+    p = 2 / (shots + 4)
+    return np.sqrt(4 * p * (1 - p) / (shots + 4))
+
+
 def sample(circuit, params, term, shots, noise=NoiseModel(), seed=0):
     """Counts of the measurement circuit of one term."""
     return measure_term(outcome_distributions(circuit, params, [term], noise)[0], shots, seed)
@@ -69,7 +75,8 @@ class TestMeasureTerm:
     def test_z_on_zero_state_is_deterministic(self):
         result = sample(ansatz_1q(), [0.0], Z0, 500)
         assert result.tolist() == [500, 0]
-        assert expectation_from_counts(result, Z0) == (1.0, 0.0)
+        mean, stderr = expectation_from_counts(result, Z0)
+        assert mean == 1.0 and stderr == pytest.approx(agresti_coull_stderr(500), rel=1e-12)
 
     def test_equal_superposition_counts(self):
         result = sample(ansatz_1q(), [np.pi / 2], Z0, 20_000, seed=4)
@@ -106,6 +113,11 @@ class TestMeasureTerm:
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             measure_term(outcome_distributions(ansatz_1q(), [0.0], [Z0])[0], 0)
+
+    @pytest.mark.parametrize("shots", [2.5, True])
+    def test_non_integer_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="positive integer"):
+            measure_term(outcome_distributions(ansatz_1q(), [0.0], [Z0])[0], shots)
 
     def test_seed_determinism(self):
         noise = NoiseModel(0.01, 0.02, 0.03)
@@ -359,7 +371,7 @@ class TestExpectationFromCounts:
     def test_even_parity_two_qubits(self):
         result = np.array([5000, 0, 0, 5000])
         mean, stderr = expectation_from_counts(result, PauliString(("Z", "Z")))
-        assert (mean, stderr) == (1.0, 0.0)
+        assert mean == 1.0 and stderr == pytest.approx(agresti_coull_stderr(10_000), rel=1e-12)
 
     @pytest.mark.parametrize("counts", [[1, 0, 0, 0], [5, -1], [0, 0]])
     @pytest.mark.parametrize("consume", [
