@@ -1,8 +1,8 @@
 """Parameterized ansatz circuits and a small statevector engine.
 
 The gate set is {RY, X, CNOT}: RY and CNOT build both ansatz circuits, and X
-prepares computational basis states.  Readout calibration builds no circuit;
-its columns come in closed form from the readout channel.  Amplitudes are
+serves hand-built circuits.  Readout calibration builds no circuit; its
+columns come in closed form from the readout channel.  Amplitudes are
 indexed with qubit 0 as the most significant bit, matching the Pauli-string
 convention of :mod:`lmgvqe.pauli`; the bitstring of basis state b is just
 ``format(b, "0{n}b")`` with character q giving qubit q.

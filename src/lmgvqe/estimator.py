@@ -12,11 +12,12 @@ sums carry their term tables (``PauliSum.measured_arrays``), built once each.
 
 ``shots=None`` selects exact (infinite-shot) noiseless expectation values
 from the statevector and rejects any noise or mitigation; any positive
-integer selects sampled estimation.  Exact <H> and <H^2> are <psi|H|psi> and
-<psi|H^2|psi> on the cached dense matrices (``expectation_exact``), the
-reads ``_exact_objective`` gives the optimizer after checking the problem
-once; each exact term mean is s . p on the ideal table the sampled path
-draws from.
+integer selects sampled estimation.  Every exact read is one product H psi
+on the cached dense matrix of H (``_exact_moments``): <H> = psi . H psi,
+<H^2> = ||H psi||^2 and sigma^2 = ||H psi - <H> psi||^2, the squared
+eigen-residual, which cannot go negative or lose digits to the
+cancellation of <H^2> - <H>^2.  Each exact term mean is s . p on the ideal
+table the sampled path draws from.
 
 In sampled mode each estimate prepares its state once into one table of
 ideal per-basis distributions; each CNOT fold mixes in its noise and gives
@@ -36,7 +37,7 @@ every shot on one sign gets at least the Agresti-Coull variance
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,6 @@ class EstimationResult:
     variance_stderr: float
     per_term: tuple[tuple[PauliString, float, float], ...]
     shots: int | None
-    mitigation_applied: Mitigation = field(default_factory=Mitigation)
 
 
 def _verify_problem(circuit: Circuit, h: PauliSum, h2: PauliSum) -> None:
@@ -84,31 +84,28 @@ def _verify_problem(circuit: Circuit, h: PauliSum, h2: PauliSum) -> None:
         raise ValueError(f"h2 is not the square of h: dense matrices differ by {error:.3g}")
 
 
+def _exact_moments(state: Statevector, h: PauliSum) -> tuple[float, float, float]:
+    """(<H>, <H^2>, sigma^2) of a unit state from one product H psi: psi . H psi,
+    ||H psi||^2 and the squared eigen-residual ||H psi - <H> psi||^2."""
+    amps = state.amplitudes
+    h_amps = h.matrix @ amps
+    energy = float(np.vdot(amps, h_amps).real)
+    residual = h_amps - energy * amps
+    return energy, float(np.vdot(h_amps, h_amps).real), float(np.vdot(residual, residual).real)
+
+
 def expectation_exact(state: Statevector, observable: PauliSum) -> float:
     """<psi|O|psi> from the amplitudes, exact to machine precision."""
-    amps = state.amplitudes
     if observable.num_qubits != state.num_qubits:
         raise ValueError(
             f"observable acts on {observable.num_qubits} qubits, state has {state.num_qubits}"
         )
-    return float(np.vdot(amps, observable.matrix @ amps).real)
+    return _exact_moments(state, observable)[0]
 
 
 def _reject_noise_in_exact_mode(noise: NoiseModel, mitigation: Mitigation) -> None:
     if noise != NOISELESS or mitigation.readout or mitigation.cnot:
         raise ValueError("exact mode (shots=None) models no noise and applies no mitigation")
-
-
-def _exact_objective(circuit: Circuit, h: PauliSum, h2: PauliSum):
-    """``parameters -> (<H>, <H^2>)`` in exact mode, equal bit for bit to
-    ``estimate``'s energy and h_squared.  The problem is checked here, once."""
-    _verify_problem(circuit, h, h2)
-
-    def moments(parameters) -> tuple[float, float]:
-        state = run(circuit, parameters)
-        return expectation_exact(state, h), expectation_exact(state, h2)
-
-    return moments
 
 
 def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal: ConfusionMatrix | None):
@@ -191,9 +188,9 @@ def estimate(
     """Estimate <H>, <H^2> and the variance at one parameter point.
 
     ``h2`` must be the operator square of ``h``; their dense matrices are
-    compared on every call.  Sampled variances may come out slightly
-    negative because <H> and <H^2> are estimated from independent shot
-    batches.
+    compared on every call.  Exact variances are squared norms, never
+    negative; sampled ones may come out slightly negative because <H> and
+    <H^2> are estimated from independent shot batches.
     """
     mitigation = mitigation or Mitigation()
     _verify_problem(circuit, h, h2)
@@ -208,8 +205,8 @@ def estimate(
         state = run(circuit, parameters)
         table, index = _basis_table(state, all_strings)
         means, stderrs = (signs * table[index]).sum(-1), np.zeros(len(all_strings))
-        energy, energy_stderr = expectation_exact(state, h), 0.0
-        h_sq, h_sq_stderr = expectation_exact(state, h2), 0.0
+        energy, h_sq, variance = _exact_moments(state, h)
+        energy_stderr = h_sq_stderr = 0.0
     else:
         _check_shots(shots)
         means, stderrs = _sampled_term_means(
@@ -218,15 +215,15 @@ def estimate(
         split = len(strings_h)
         energy, energy_stderr = _combine(const_h, betas_h, means[:split], stderrs[:split])
         h_sq, h_sq_stderr = _combine(const_2, betas_2, means[split:], stderrs[split:])
+        variance = h_sq - energy**2
     per_term = zip(all_strings, means.tolist(), stderrs.tolist())
     return EstimationResult(
         energy=energy,
         energy_stderr=energy_stderr,
         h_squared=h_sq,
         h_squared_stderr=h_sq_stderr,
-        variance=h_sq - energy**2,
+        variance=variance,
         variance_stderr=float(np.sqrt(h_sq_stderr**2 + 4.0 * energy**2 * energy_stderr**2)),
         per_term=tuple(per_term),
         shots=shots,
-        mitigation_applied=mitigation,
     )

@@ -51,8 +51,8 @@ class Mitigation:
         if self.calibration_shots is not None:
             _check_shots(self.calibration_shots, "calibration_shots")
         if self.cnot:
-            if len(set(self.folds)) < 2:
-                raise ValueError("cnot mitigation needs at least two distinct folds")
+            if len(self.folds) < 2 or len(set(self.folds)) != len(self.folds):
+                raise ValueError(f"folds must be two or more distinct values, got {self.folds}")
             if any(f < 1 or f % 2 == 0 for f in self.folds):
                 raise ValueError(f"folds must be odd positive integers, got {self.folds}")
 

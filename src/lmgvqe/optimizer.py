@@ -7,14 +7,15 @@ Nelder-Mead with deterministic shrink restarts: when the simplex collapses
 above the convergence threshold and evaluation budget remains, the search
 resumes from the best point with a smaller initial simplex.
 
-In exact mode an evaluation only prepares the state and reads <H> and <H^2>
-from the cached dense matrices (``estimator._exact_objective``, the same
-reads as ``estimate``, so bit-identical to it); a trace's final result is
-one ``estimate``.  Each trace records why it stopped.
+In exact mode an evaluation only prepares the state and reads <H> and
+sigma^2 = ||H psi - <H> psi||^2 from one product H psi
+(``estimator._exact_moments``, the read ``estimate`` makes, so bit-identical
+to it); a trace's final result is one ``estimate``.  Each trace records why
+it stopped.
 
 Every candidate eigenvalue is screened with an accidental-zero check: the
-residual ||H psi - <H> psi|| of the noiseless state, which catches variance
-minima manufactured by sampling noise.
+residual ||H psi - <H> psi|| of the noiseless state, the square root of its
+exact variance, which catches variance minima manufactured by sampling noise.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from scipy import optimize as _sciopt
 
 from .analysis import eigensolve
 from .circuits import Circuit, run
-from .estimator import EstimationResult, _exact_objective, _reject_noise_in_exact_mode, estimate
+from .estimator import (
+    EstimationResult, _exact_moments, _reject_noise_in_exact_mode, _verify_problem, estimate
+)
 from .mitigation import Mitigation
 from .pauli import PauliSum
 from .simulator import NOISELESS, NoiseModel
@@ -157,12 +160,12 @@ def _point_evaluator(h: PauliSum, h2: PauliSum, circuit: Circuit, config: Estima
     seeded by (config.seed, index).  Exact mode checks the problem once and
     builds no result (None); its values equal ``estimate``'s bit for bit."""
     if config.exact:
-        moments = _exact_objective(circuit, h, h2)
+        _verify_problem(circuit, h, h2)
 
         def exact(params, index):
-            energy, h_sq = moments(params)
+            energy, _, variance = _exact_moments(run(circuit, params), h)
             # +0.0 stderrs, as exact estimate gives
-            return (energy, h_sq - energy**2, 0.0, 0.0), None
+            return (energy, variance, 0.0, 0.0), None
 
         return exact
 
@@ -342,15 +345,14 @@ def accidental_zero_check(
     tolerance: float = RESIDUAL_TOL,
 ) -> tuple[bool, float]:
     """Screen a candidate eigenstate via the eigen-residual of its noiseless
-    state: ||H psi - <H> psi||, which equals sqrt(exact variance).
+    state: ||H psi - <H> psi||, the square root of the exact variance that
+    ``estimate`` reads.
 
     A small sampled variance produced by shot noise alone fails this check
     because the underlying state is not close to any eigenvector.
     """
-    state = run(circuit, parameters).amplitudes
-    h_state = h.matrix @ state
-    energy = float(np.vdot(state, h_state).real)
-    residual = float(np.linalg.norm(h_state - energy * state))
+    _, _, variance = _exact_moments(run(circuit, parameters), h)
+    residual = float(np.sqrt(variance))
     return residual < tolerance, residual
 
 

@@ -235,7 +235,7 @@ def test_criterion_7d_variance_characterization(n3_a, n7_a):
         result = estimate(ansatz_1q(), [theta], n3_a.h, n3_a.h2)
         psi = run(ansatz_1q(), [theta]).amplitudes.real
         residual_sq = np.linalg.norm(m @ psi - (psi @ m @ psi) * psi) ** 2
-        assert result.variance >= -1e-12
+        assert result.variance >= 0.0
         assert result.variance == pytest.approx(residual_sq, abs=1e-10)
     m7 = n7_a.block.matrix
     axis = np.linspace(-np.pi, np.pi, 10)
@@ -243,7 +243,7 @@ def test_criterion_7d_variance_characterization(n3_a, n7_a):
         for t1 in axis:
             for t2 in axis:
                 result = estimate(ansatz_2q(), (t0, t1, t2), n7_a.h, n7_a.h2)
-                assert result.variance >= -1e-12
+                assert result.variance >= 0.0
                 if abs(result.variance) < 1e-8:
                     psi = run(ansatz_2q(), (t0, t1, t2)).amplitudes.real
                     residual = np.linalg.norm(m7 @ psi - (psi @ m7 @ psi) * psi)

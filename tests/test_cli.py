@@ -256,6 +256,7 @@ class TestConfigHandling:
 class TestConfigBuiltOnce:
     @pytest.mark.parametrize("extra", [
         ["--mitigate", "cnot", "--folds", "2"],
+        ["--mitigate", "cnot", "--folds", "1,3,3"],
         ["--noise-readout", "1.5"],
     ])
     def test_decompose_checks_noise_and_mitigation(self, extra, capsys):
@@ -269,6 +270,7 @@ class TestConfigBuiltOnce:
         {"shots": 10, "noise_readout": 1.5},
         {"shots": 10, "noise_cnot": 0.7},
         {"shots": 10, "mitigate": ("cnot",), "folds": (1, 2)},
+        {"shots": 10, "mitigate": ("cnot",), "folds": (1, 3, 3)},
     ])
     def test_invalid_library_value_rejected_at_construction(self, fields):
         with pytest.raises(ConfigError):

@@ -18,8 +18,9 @@ from lmgvqe import (
     minimize_variance,
     sweep,
 )
-from lmgvqe.estimator import _exact_objective
-from lmgvqe.optimizer import _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint
+from lmgvqe.optimizer import (
+    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _point_evaluator
+)
 
 from conftest import N3_A_EIGS, N7_EIGS, eigenstate_parameters_1q
 
@@ -134,12 +135,16 @@ class TestExactObjective:
     @pytest.mark.parametrize("name", ["n3_a", "n3_b", "n7_a", "n7_b"])
     def test_matches_estimate_bit_for_bit(self, request, name):
         setup = request.getfixturevalue(name)
-        moments = _exact_objective(setup.circuit, setup.h, setup.h2)
-        rng = np.random.default_rng(31)
-        for params in rng.uniform(-np.pi, np.pi, (200, setup.circuit.num_parameters)):
+        evaluate = _point_evaluator(setup.h, setup.h2, setup.circuit, EXACT)
+        points = np.random.default_rng(31).uniform(
+            -np.pi, np.pi, (200, setup.circuit.num_parameters)
+        )
+        for index, params in enumerate(points):
             params = tuple(params.tolist())
-            result = estimate(setup.circuit, params, setup.h, setup.h2)
-            assert repr(moments(params)) == repr((result.energy, result.h_squared))
+            (energy, variance, *stderrs), result = evaluate(params, index)
+            expected = estimate(setup.circuit, params, setup.h, setup.h2)
+            assert result is None and stderrs == [0.0, 0.0]
+            assert repr((energy, variance)) == repr((expected.energy, expected.variance))
 
 
 class TestInputRejectedBeforeAnyRecord:
