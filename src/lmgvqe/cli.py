@@ -107,8 +107,6 @@ class ExperimentConfig:
             raise ConfigError(f"block must be A or B, got {self.block!r}")
         if self.ansatz not in ("auto", "1q", "2q"):
             raise ConfigError(f"ansatz must be auto, 1q or 2q, got {self.ansatz!r}")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigError("shots must be a positive integer or 'exact'")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
         if self.starts is not None and self.starts < 1:

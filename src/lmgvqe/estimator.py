@@ -21,11 +21,11 @@ table the sampled path draws from.
 
 In sampled mode each estimate prepares its state once into one table of
 ideal per-basis distributions; each CNOT fold mixes in its noise and gives
-one outcome distribution per term, from which every term draws its own
-seeded shots.  A term's mean is s . q for its parity signs s
-(``PauliSum.measured_signs``) and q = A^-1 f, the frequencies f corrected
-by the readout calibration A (A = I without one).  As a weighted count
-w . f with w = A^-T s, its first-order variance is
+one outcome distribution per term.  One stream, ``default_rng(seed)``, draws
+the calibration columns, then fold by fold each term's shots.  A term's mean
+is s . q for its parity signs s (``PauliSum.measured_signs``) and q = A^-1 f,
+the frequencies f corrected by the readout calibration A (A = I without
+one).  As a weighted count w . f with w = A^-T s, its first-order variance is
 
     (sum w^2 f - mean^2) / shots + sum_j q_j^2 (sum_i w_i^2 A_ij - 1) / cal_shots,
 
@@ -150,16 +150,14 @@ def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.nda
 
 
 def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, mitigation, seed):
-    """Means and standard errors of every measured term from seeded shots,
-    readout-corrected and CNOT-extrapolated as ``mitigation`` asks."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """Means and standard errors of every measured term from one seeded
+    stream, readout-corrected and CNOT-extrapolated as ``mitigation`` asks."""
+    rng = np.random.default_rng(seed)
     folds = mitigation.folds if mitigation.cnot else (1,)
-    n_streams = (1 if mitigation.readout else 0) + len(folds) * len(all_strings)
-    streams = iter(ss.spawn(n_streams))
     cal = None
     if mitigation.readout:
         cal_shots = shots if mitigation.calibration_shots is None else mitigation.calibration_shots
-        cal = calibrate(circuit.num_qubits, noise, cal_shots, next(streams))
+        cal = calibrate(circuit.num_qubits, noise, cal_shots, rng)
 
     # odd folds prepare the same amplitudes, so one state and one basis
     # table serve every fold; the folded circuit only gives its CNOT count
@@ -167,7 +165,7 @@ def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, m
     counts = []
     for fold in folds:
         rows = _noisy_rows(table, index, fold_cnots(circuit, fold).num_cnots, noise)
-        counts.append([measure_term(row, shots, next(streams)) for row in rows])
+        counts.append([measure_term(row, shots, rng) for row in rows])
     counts = np.array(counts).reshape(len(folds), *signs.shape)
     means, stderrs = _term_estimates(counts, signs, cal)  # each (folds, terms)
     if len(folds) > 1:

@@ -3,8 +3,8 @@
 Readout correction calibrates a column-stochastic confusion matrix A, then
 solves A q = f to turn measured frequencies f into a quasi-probability
 distribution q for the uncorrupted outcomes.  Column j holds the read
-frequencies of basis state j: one seeded draw from its exact distribution
-under readout noise, column j of the readout channel's Kronecker product.
+frequencies of basis state j, the j-th draw of one seeded stream from its
+exact distribution, column j of the readout channel's Kronecker product.
 CNOT mitigation re-measures with every CNOT replaced by an odd number of
 copies and extrapolates every term linearly to the zero-CNOT limit.
 """
@@ -84,17 +84,16 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
     """Measure all 2^n basis states under the readout noise of ``noise``.
 
     Column j holds the frequencies of ``shots`` draws from the outcome
-    distribution of basis state j, one seeded stream per column.
+    distribution of basis state j, drawn in order from ``default_rng(seed)``.
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be positive")
     _check_shots(shots)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = ss.spawn(2**num_qubits)
+    rng = np.random.default_rng(seed)
     readout = _readout_matrix(noise, num_qubits)
     matrix = np.zeros_like(readout)
-    for j, column_seed in enumerate(seeds):
-        matrix[:, j] = measure_term(readout[:, j], shots, column_seed) / shots
+    for j in range(2**num_qubits):
+        matrix[:, j] = measure_term(readout[:, j], shots, rng) / shots
     return ConfusionMatrix(matrix=matrix, shots_per_column=shots)
 
 

@@ -20,6 +20,7 @@ exact variance, which catches variance minima manufactured by sampling noise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from .estimator import (
 )
 from .mitigation import Mitigation
 from .pauli import PauliSum
-from .simulator import NOISELESS, NoiseModel
+from .simulator import NOISELESS, NoiseModel, _check_shots
 
 __all__ = [
     "EstimatorConfig",
@@ -65,8 +66,11 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if self.shots is not None:
+            _check_shots(self.shots)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if self.exact:
             _reject_noise_in_exact_mode(self.noise, self.mitigation)
 

@@ -10,7 +10,7 @@ table of ideal distributions, and ``_noisy_rows`` mixes in the noise of a
 CNOT count and the readout, then gathers one row per term.  The estimator
 prepares the state once per estimate and runs the first half once, the
 second once per CNOT fold.  ``measure_term`` samples one row with a single
-multinomial draw, so every term still gets its own seeded shots.
+multinomial draw; every draw of an estimate comes from one Generator.
 
 Each CNOT is followed, with probability ``cnot_depolarizing``, by a
 uniformly random non-identity two-qubit Pauli; on the supported registers
@@ -144,8 +144,8 @@ def outcome_distributions(
 
 def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     """Counts of ``shots`` readouts: one multinomial draw from one outcome
-    distribution, deterministic for a fixed ``seed`` (an int or a
-    SeedSequence, so callers can derive per-term streams)."""
+    distribution with ``np.random.default_rng(seed)``; an int or SeedSequence
+    seed gives a fixed stream, and a Generator is advanced, not reseeded."""
     _check_shots(shots)
     dist = np.asarray(distribution, dtype=float)
     # NaN fails both comparisons, and +inf fails the sum

@@ -14,6 +14,9 @@ from lmgvqe import (
     estimate,
     expectation_exact,
     expectation_from_counts,
+    fold_cnots,
+    measure_term,
+    outcome_distributions,
     parity_signs,
     run,
     square_block,
@@ -383,12 +386,12 @@ class TestOnePreparationPerEstimate:
     @pytest.mark.parametrize("noise, mitigation, expected", [
         (DEFAULT_SYNTHETIC_NOISE,
          Mitigation(readout=True, cnot=True, folds=(1, 3), calibration_shots=20_000),
-         "-0x1.e0612ad663adcp-1 0x1.819f0fc899959p+3 0x1.6a8d7b85c4a7fp-5 0x1.7a88dddd28749p-3"),
+         "-0x1.fb284cdd7e775p-1 0x1.7c8166e267d8ap+3 0x1.6cb35feda2867p-5 0x1.7e8c7a03b68ecp-3"),
         (NoiseModel(cnot_depolarizing=0.02), Mitigation(cnot=True, folds=(1, 3, 5)),
-         "-0x1.db7c688add3cep-1 0x1.85268ce170901p+3 0x1.f4327cc089abep-6 0x1.017547f937966p-3"),
+         "-0x1.ded6e9f2d510cp-1 0x1.80c89a28330ffp+3 0x1.f3e6b038d3469p-6 0x1.018f4febc6563p-3"),
         (DEFAULT_SYNTHETIC_NOISE, Mitigation(),
-         "-0x1.f04fa0aece338p-1 0x1.8e16a3edebddbp+3 0x1.a0be6ae8240a9p-6 0x1.afa5a507e5487p-4"),
-    ])
+         "-0x1.020ec96f7134ep+0 0x1.88b52feead8ecp+3 0x1.a0a9f44fc254bp-6 0x1.b33f0d73c28ccp-4"),
+    ], ids=["readout_cnot13", "cnot135", "unmitigated"])
     def test_seeded_outputs_pinned(self, n7_a, noise, mitigation, expected):
         # the bits of these seeded streams; a change that alters any seeded
         # sample stream must update them and say so
@@ -412,3 +415,94 @@ class TestOnePreparationPerEstimate:
         estimate(ansatz_2q(), self.PARAMETERS, n7_a.h, n7_a.h2, shots=1000,
                  noise=DEFAULT_SYNTHETIC_NOISE, mitigation=mitigation, seed=3)
         assert calls == [ansatz_2q()]
+
+
+class TestOneStreamPerEstimate:
+    """Every draw of a sampled estimate comes from one ``default_rng(seed)``:
+    the calibration columns first, then fold by fold each term's shots."""
+
+    PARAMETERS = (0.7, 0.4, -1.9)
+    SEED = 23
+
+    @staticmethod
+    def _capture(monkeypatch):
+        import lmgvqe.estimator as estimator_module
+        import lmgvqe.mitigation as mitigation_module
+
+        drawn = []
+
+        def recording_measure_term(distribution, shots, seed=0):
+            counts = measure_term(distribution, shots, seed)
+            drawn.append(counts)
+            return counts
+
+        monkeypatch.setattr(estimator_module, "measure_term", recording_measure_term)
+        monkeypatch.setattr(mitigation_module, "measure_term", recording_measure_term)
+        return drawn
+
+    def _replay(self, block, noise, mitigation, shots, cal_shots):
+        # independent of the estimator: the readout kron from the noise
+        # model, the term rows from each folded circuit's exact distributions
+        stream = np.random.default_rng(self.SEED)
+        expected = []
+        if mitigation.readout:
+            confusion = np.array([[1.0 - noise.readout_p01, noise.readout_p10],
+                                  [noise.readout_p01, 1.0 - noise.readout_p10]])
+            readout = np.kron(confusion, confusion)
+            expected += [stream.multinomial(cal_shots, readout[:, j]) for j in range(4)]
+        terms = block.h.measured_arrays[2] + block.h2.measured_arrays[2]
+        for fold in mitigation.folds if mitigation.cnot else (1,):
+            circuit = fold_cnots(ansatz_2q(), fold)
+            rows = outcome_distributions(circuit, self.PARAMETERS, terms, noise)
+            expected += [stream.multinomial(shots, row) for row in rows]
+        return expected
+
+    @pytest.mark.parametrize("noise, mitigation", [
+        (DEFAULT_SYNTHETIC_NOISE, Mitigation(readout=True)),
+        (NoiseModel(cnot_depolarizing=0.02), Mitigation(cnot=True, folds=(1, 3, 5))),
+        (DEFAULT_SYNTHETIC_NOISE,
+         Mitigation(readout=True, cnot=True, folds=(1, 3), calibration_shots=3000)),
+    ], ids=["readout", "cnot135", "readout_cnot13"])
+    def test_draws_replay_one_stream(self, n7_a, noise, mitigation, monkeypatch):
+        drawn = self._capture(monkeypatch)
+        estimate(ansatz_2q(), self.PARAMETERS, n7_a.h, n7_a.h2, shots=1000,
+                 noise=noise, mitigation=mitigation, seed=self.SEED)
+        cal_shots = mitigation.calibration_shots or 1000
+        expected = self._replay(n7_a, noise, mitigation, 1000, cal_shots)
+        assert len(drawn) == len(expected)
+        for got, want in zip(drawn, expected):
+            assert np.array_equal(got, want)
+
+    def test_batched_draw_keeps_the_stream(self, n7_a, monkeypatch):
+        # one multinomial over the whole (rows, 2^n) table draws row by row,
+        # so batching the calls later keeps every seeded stream
+        drawn = self._capture(monkeypatch)
+        noise = NoiseModel(cnot_depolarizing=0.02)
+        mitigation = Mitigation(cnot=True, folds=(1, 3, 5))
+        estimate(ansatz_2q(), self.PARAMETERS, n7_a.h, n7_a.h2, shots=1000,
+                 noise=noise, mitigation=mitigation, seed=self.SEED)
+        terms = n7_a.h.measured_arrays[2] + n7_a.h2.measured_arrays[2]
+        rows = np.concatenate([
+            outcome_distributions(fold_cnots(ansatz_2q(), fold), self.PARAMETERS, terms, noise)
+            for fold in mitigation.folds
+        ])
+        batched = np.random.default_rng(self.SEED).multinomial(1000, rows)
+        assert np.array_equal(batched, np.array(drawn))
+
+    def test_int_seed_and_seed_sequence_agree(self, n7_a):
+        mitigation = Mitigation(readout=True, cnot=True, folds=(1, 3))
+        results = [
+            estimate(ansatz_2q(), self.PARAMETERS, n7_a.h, n7_a.h2, shots=2000,
+                     noise=DEFAULT_SYNTHETIC_NOISE, mitigation=mitigation, seed=seed)
+            for seed in (self.SEED, np.random.SeedSequence(self.SEED))
+        ]
+        assert results[0] == results[1]
+
+    def test_generator_is_advanced_not_reseeded(self):
+        distribution = np.full(4, 0.25)
+        stream = np.random.default_rng(self.SEED)
+        first, second = (measure_term(distribution, 1000, stream) for _ in range(2))
+        assert not np.array_equal(first, second)
+        replay = np.random.default_rng(self.SEED)
+        assert np.array_equal(first, replay.multinomial(1000, distribution))
+        assert np.array_equal(second, replay.multinomial(1000, distribution))

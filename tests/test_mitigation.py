@@ -116,7 +116,8 @@ class TestMitigateCounts:
 class TestCalibrationColumns:
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     def test_columns_are_seeded_draws_from_the_readout_channel(self, num_qubits):
-        # column j: one multinomial draw from kron(confusion) @ e_j on child stream j
+        # column j: the j-th multinomial draw of one default_rng(seed), from
+        # kron(confusion) @ e_j
         rng = np.random.default_rng(num_qubits)
         for _ in range(5):
             p01, p10 = rng.uniform(0.0, 0.3, 2)
@@ -124,10 +125,10 @@ class TestCalibrationColumns:
             cal = calibrate(num_qubits, NoiseModel(p01, p10, 0.1), shots, seed=seed)
             confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
             readout = reduce(np.kron, [confusion] * num_qubits)
-            children = np.random.SeedSequence(seed).spawn(2**num_qubits)
-            for j, child in enumerate(children):
+            stream = np.random.default_rng(seed)
+            for j in range(2**num_qubits):
                 basis_state = np.eye(2**num_qubits)[j]
-                counts = np.random.default_rng(child).multinomial(shots, readout @ basis_state)
+                counts = stream.multinomial(shots, readout @ basis_state)
                 assert np.array_equal(cal.matrix[:, j], counts / shots)
 
 

@@ -187,6 +187,25 @@ class TestInputRejectedBeforeAnyRecord:
             EstimatorConfig(**config)
         assert records == []
 
+    @pytest.mark.parametrize("config", [
+        dict(shots=0),
+        dict(shots=2.5),
+        dict(shots=True),
+        dict(shots=100, seed=1.5),
+        dict(shots=100, seed=np.float64(2.0)),
+        dict(shots=100, seed=True),
+        dict(seed=-1),
+    ], ids=["shots_0", "shots_2.5", "shots_bool", "seed_1.5", "seed_float64", "seed_bool",
+            "seed_negative"])
+    def test_invalid_shots_or_seed_rejected_at_construction(self, config):
+        with pytest.raises(ValueError, match="shots|seed"):
+            EstimatorConfig(**config)
+
+    def test_numpy_integer_seed_accepted(self, n3_a):
+        config = EstimatorConfig(shots=100, seed=np.int64(3))
+        trace = minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [0.4], config, budget=5)
+        assert trace.final.shots == 100
+
     def test_nan_initial_parameter(self, n3_a, records):
         with pytest.raises(ValueError, match="normalized"):
             minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [np.nan], EXACT)
