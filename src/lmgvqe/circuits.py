@@ -119,23 +119,26 @@ class Circuit:
 
 @dataclass(frozen=True)
 class Statevector:
-    """Normalized complex amplitude vector of length 2^n."""
+    """Normalized complex amplitude vector of length 2^n, or a batch of them
+    as the rows of a (B, 2^n) array; every row's norm is checked."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        n = len(amps).bit_length() - 1
-        if len(amps) < 2 or 2**n != len(amps):
-            raise ValueError(f"amplitude vector length {len(amps)} is not a power of two")
-        norm = float(np.vdot(amps, amps).real)
-        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # also rejects NaN
+        if amps.ndim not in (1, 2):
+            raise ValueError(f"expected one amplitude vector or a batch, got shape {amps.shape}")
+        size = amps.shape[-1]
+        if size < 2 or size & (size - 1):
+            raise ValueError(f"amplitude vector length {size} is not a power of two")
+        norm = (amps.conj() * amps).real.sum(-1)
+        if not (abs(norm - 1.0) <= NORMALIZATION_TOL).all():  # also rejects NaN
             raise ValueError(f"state not normalized: sum |a|^2 = {norm}")
 
     @property
     def num_qubits(self) -> int:
-        return len(self.amplitudes).bit_length() - 1
+        return self.amplitudes.shape[-1].bit_length() - 1
 
 
 def ansatz_1q() -> Circuit:
@@ -180,23 +183,29 @@ def apply_single_qubit(amps: np.ndarray, num_qubits: int, qubit: int, u: np.ndar
 
 def run(circuit: Circuit, parameters=()) -> Statevector:
     """Apply the circuit's compiled gates to |0...0> and return the final,
-    validated state."""
-    parameters = tuple(parameters)
-    if len(parameters) != circuit.num_parameters:
-        raise ValueError(
-            f"circuit takes {circuit.num_parameters} parameters, got {len(parameters)}"
-        )
-    amps = np.zeros(2**circuit.num_qubits, dtype=complex)
-    amps[0] = 1.0
+    validated state: one state for parameters of shape (k,), one row per
+    point for shape (B, k).  A row's arithmetic does not depend on B, so it
+    equals the single run of its point bit for bit."""
+    params = np.asarray(parameters, dtype=float)
+    k = circuit.num_parameters
+    if params.ndim not in (1, 2) or params.shape[-1] != k:
+        raise ValueError(f"circuit takes {k} parameters, got shape {params.shape}")
+    half = params[..., None] / 2.0  # (..., k, 1): one factor per row and slot
+    cos, sin = np.cos(half), np.sin(half)
+    amps = np.zeros(params.shape[:-1] + (2**circuit.num_qubits,), dtype=complex)
+    amps[..., 0] = 1.0
     for perm, sign, slot, angle in circuit._program:
         if sign is None:
-            amps = amps[perm]
+            amps = amps.take(perm, -1)
             continue
-        theta = float(parameters[slot]) if slot is not None else angle
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        if slot is None:
+            c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        else:
+            c, s = cos[..., slot, :], sin[..., slot, :]
         # the rows of ry_matrix(theta) with the same products and sums as
-        # apply_single_qubit; a matmul or einsum may fuse or reorder them
-        amps = complex(c) * amps + (sign * s).astype(complex) * amps[perm]
+        # apply_single_qubit (a real factor multiplies as complex); a matmul
+        # or einsum may fuse or reorder them
+        amps = c * amps + sign * s * amps.take(perm, -1)
     return Statevector(amps)
 
 

@@ -16,8 +16,9 @@ integer selects sampled estimation.  Every exact read is one product H psi
 on the cached dense matrix of H (``_exact_moments``): <H> = psi . H psi,
 <H^2> = ||H psi||^2 and sigma^2 = ||H psi - <H> psi||^2, the squared
 eigen-residual, which cannot go negative or lose digits to the
-cancellation of <H^2> - <H>^2.  Each exact term mean is s . p on the ideal
-table the sampled path draws from.
+cancellation of <H^2> - <H>^2.  The read takes one state or a batch, with
+the same arithmetic on every row.  Each exact term mean is s . p on the
+ideal table the sampled path draws from.
 
 In sampled mode each estimate prepares its state once into one table of
 ideal per-basis distributions; each CNOT fold mixes in its noise and gives
@@ -48,7 +49,7 @@ from .simulator import (
     NOISELESS,
     NoiseModel,
     _basis_table,
-    _check_shots,
+    _check_positive_int,
     _checked_counts,
     _noisy_rows,
     measure_term,
@@ -84,14 +85,20 @@ def _verify_problem(circuit: Circuit, h: PauliSum, h2: PauliSum) -> None:
         raise ValueError(f"h2 is not the square of h: dense matrices differ by {error:.3g}")
 
 
-def _exact_moments(state: Statevector, h: PauliSum) -> tuple[float, float, float]:
-    """(<H>, <H^2>, sigma^2) of a unit state from one product H psi: psi . H psi,
-    ||H psi||^2 and the squared eigen-residual ||H psi - <H> psi||^2."""
-    amps = state.amplitudes
-    h_amps = h.matrix @ amps
-    energy = float(np.vdot(amps, h_amps).real)
-    residual = h_amps - energy * amps
-    return energy, float(np.vdot(h_amps, h_amps).real), float(np.vdot(residual, residual).real)
+def _exact_moments(amps: np.ndarray, h: PauliSum):
+    """(<H>, <H^2>, sigma^2) of unit states with amplitudes of shape
+    (..., 2^n), each of shape (...), from one product H psi: psi . H psi,
+    ||H psi||^2 and the squared eigen-residual ||H psi - <H> psi||^2.
+
+    Every row goes through the same arithmetic whatever the batch size (an
+    einsum and products summed over the last axis; a matmul switches from
+    gemv to gemm and rounds differently), so a state read alone equals its
+    row of a batch bit for bit."""
+    h_amps = np.einsum("ij,...j->...i", h.matrix, amps)
+    energy = (amps.conj() * h_amps).sum(-1).real
+    residual = h_amps - energy[..., None] * amps
+    h_squared = (h_amps.conj() * h_amps).sum(-1).real
+    return energy, h_squared, (residual.conj() * residual).sum(-1).real
 
 
 def expectation_exact(state: Statevector, observable: PauliSum) -> float:
@@ -100,7 +107,7 @@ def expectation_exact(state: Statevector, observable: PauliSum) -> float:
         raise ValueError(
             f"observable acts on {observable.num_qubits} qubits, state has {state.num_qubits}"
         )
-    return _exact_moments(state, observable)[0]
+    return float(_exact_moments(state.amplitudes, observable)[0])
 
 
 def _reject_noise_in_exact_mode(noise: NoiseModel, mitigation: Mitigation) -> None:
@@ -203,10 +210,10 @@ def estimate(
         state = run(circuit, parameters)
         table, index = _basis_table(state, all_strings)
         means, stderrs = (signs * table[index]).sum(-1), np.zeros(len(all_strings))
-        energy, h_sq, variance = _exact_moments(state, h)
+        energy, h_sq, variance = map(float, _exact_moments(state.amplitudes, h))
         energy_stderr = h_sq_stderr = 0.0
     else:
-        _check_shots(shots)
+        _check_positive_int(shots)
         means, stderrs = _sampled_term_means(
             circuit, parameters, all_strings, signs, shots, noise, mitigation, seed
         )

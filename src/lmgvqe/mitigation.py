@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import NoiseModel, _check_shots, _checked_counts, _readout_matrix, measure_term
+from .simulator import (
+    NoiseModel, _check_positive_int, _checked_counts, _readout_matrix, measure_term
+)
 
 __all__ = [
     "Mitigation",
@@ -49,7 +51,7 @@ class Mitigation:
     def __post_init__(self):
         object.__setattr__(self, "folds", tuple(self.folds))
         if self.calibration_shots is not None:
-            _check_shots(self.calibration_shots, "calibration_shots")
+            _check_positive_int(self.calibration_shots, "calibration_shots")
         if self.cnot:
             if len(self.folds) < 2 or len(set(self.folds)) != len(self.folds):
                 raise ValueError(f"folds must be two or more distinct values, got {self.folds}")
@@ -88,7 +90,7 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be positive")
-    _check_shots(shots)
+    _check_positive_int(shots)
     rng = np.random.default_rng(seed)
     readout = _readout_matrix(noise, num_qubits)
     matrix = np.zeros_like(readout)

@@ -3,15 +3,23 @@
 Because the variance objective is zero exactly on eigenstates, a local
 derivative-free search started from random parameters lands on *some*
 eigenstate; enough restarts cover the full block spectrum.  The optimizer is
-Nelder-Mead with deterministic shrink restarts: when the simplex collapses
-above the convergence threshold and evaluation budget remains, the search
-resumes from the best point with a smaller initial simplex.
+Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965) with deterministic
+shrink restarts: when the simplex collapses above the convergence threshold
+and evaluation budget remains, the search resumes from the best point with a
+smaller initial simplex.
 
-In exact mode an evaluation only prepares the state and reads <H> and
-sigma^2 = ||H psi - <H> psi||^2 from one product H psi
-(``estimator._exact_moments``, the read ``estimate`` makes, so bit-identical
-to it); a trace's final result is one ``estimate``.  Each trace records why
-it stopped.
+``_nelder_mead`` is a port of scipy's non-adaptive, unbounded Nelder-Mead
+as an ask/tell generator: it yields each point to evaluate and takes the
+value back, visiting the points ``scipy.optimize.minimize`` would.  So one
+``minimize_variance`` call advances any number of starts in lockstep: each
+round, every live start yields its next point.  In exact mode one batched
+``run`` prepares the round's points and one batched moment read
+(``estimator._exact_moments``) gives each <H> and sigma^2 = ||H psi - <H>
+psi||^2 from one product H psi.  Every row takes the arithmetic of a single
+read, so the values equal exact ``estimate``'s bit for bit and no start's
+trace depends on the others.  In sampled mode each point is one ``estimate``
+seeded by (its start's seed, its evaluation index).  A trace's exact final
+result is one ``estimate``, and each trace records why it stopped.
 
 Every candidate eigenvalue is screened with an accidental-zero check: the
 residual ||H psi - <H> psi|| of the noiseless state, the square root of its
@@ -24,7 +32,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .analysis import eigensolve
 from .circuits import Circuit, run
@@ -33,7 +40,7 @@ from .estimator import (
 )
 from .mitigation import Mitigation
 from .pauli import PauliSum
-from .simulator import NOISELESS, NoiseModel, _check_shots
+from .simulator import NOISELESS, NoiseModel, _check_positive_int
 
 __all__ = [
     "EstimatorConfig",
@@ -56,6 +63,11 @@ _MAX_RESTARTS = 30
 TERMINATION_REASONS = ("converged", "budget", "restart_cap", "stalled")
 
 
+def _check_seed(seed, name: str = "seed") -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """How each objective evaluation is estimated."""
@@ -67,10 +79,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.shots is not None:
-            _check_shots(self.shots)
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+            _check_positive_int(self.shots)
+        _check_seed(self.seed)
         if self.exact:
             _reject_noise_in_exact_mode(self.noise, self.mitigation)
 
@@ -124,14 +134,6 @@ class SpectrumReport:
     traces: list[RunTrace]
 
 
-class _Converged(Exception):
-    pass
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _threshold(config: EstimatorConfig, variance_stderr: float) -> float:
     if config.exact:
         return EXACT_VARIANCE_TOL
@@ -158,123 +160,142 @@ def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
     return simplex
 
 
-def _point_evaluator(h: PauliSum, h2: PauliSum, circuit: Circuit, config: EstimatorConfig):
-    """``(parameters, index) -> ((energy, variance, energy_stderr,
-    variance_stderr), result)`` as ``config`` asks, with sampled points
-    seeded by (config.seed, index).  Exact mode checks the problem once and
-    builds no result (None); its values equal ``estimate``'s bit for bit."""
-    if config.exact:
-        _verify_problem(circuit, h, h2)
+def _nelder_mead_steps(sim: np.ndarray, xatol: float, fatol: float):
+    """scipy's non-adaptive, unbounded Nelder-Mead from the simplex ``sim``,
+    with no cap on evaluations: an ask/tell generator that yields each point
+    to evaluate and takes its value by ``send``.  Same coefficients, sorts
+    and arithmetic as ``scipy.optimize.minimize(method="Nelder-Mead")``, so
+    it visits the same points."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = yield sim[k]
+    if n == 0:  # no free parameter: the one point is all there is
+        return
+    for _ in range(2):  # scipy sorts twice before its first step
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    while not (abs(sim[1:] - sim[0]).max() <= xatol and abs(fsim[0] - fsim[1:]).max() <= fatol):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = yield xr
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # outside contraction
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = yield xc
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:  # inside contraction
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = yield xcc
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = yield sim[j]
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
 
-        def exact(params, index):
-            energy, _, variance = _exact_moments(run(circuit, params), h)
-            # +0.0 stderrs, as exact estimate gives
-            return (energy, variance, 0.0, 0.0), None
 
-        return exact
-
-    def sampled(params, index):
-        result = estimate(
-            circuit, params, h, h2,
-            shots=config.shots, noise=config.noise, mitigation=config.mitigation,
-            seed=np.random.SeedSequence((config.seed, index)),
-        )
-        values = (result.energy, result.variance, result.energy_stderr, result.variance_stderr)
-        return values, result
-
-    return sampled
+def _nelder_mead(x0: np.ndarray, step: float, xatol: float, fatol: float, maxfev: int):
+    """Nelder-Mead from the simplex of ``x0`` and ``step`` as an ask/tell
+    generator (``_nelder_mead_steps``).  It stops when the simplex has
+    converged to within xatol and fatol, or, checked before each evaluation
+    as scipy's wrapper does, when ``maxfev`` points have been evaluated."""
+    steps = _nelder_mead_steps(_initial_simplex(x0, step), xatol, fatol)
+    x = next(steps)
+    for _ in range(maxfev):
+        value = yield x
+        try:
+            x = steps.send(value)
+        except StopIteration:
+            return
 
 
-def minimize_variance(
-    h: PauliSum,
-    h2: PauliSum,
-    circuit: Circuit,
-    initial,
-    config: EstimatorConfig = EstimatorConfig(),
-    budget: int | None = None,
-) -> RunTrace:
-    """Minimize sigma^2 over the ansatz parameters from one starting point.
+def _exact_values(h: PauliSum, circuit: Circuit, points) -> list[tuple[float, ...]]:
+    """(energy, variance, 0.0, 0.0) of each row of ``points`` from one
+    batched ``run`` and one moment read.  Each row takes the arithmetic of
+    exact ``estimate``, so its values equal estimate's bit for bit.  The
+    caller has checked the problem."""
+    energy, _, variance = _exact_moments(run(circuit, points).amplitudes, h)
+    # +0.0 stderrs, as exact estimate gives
+    return [(e, v, 0.0, 0.0) for e, v in zip(energy.tolist(), variance.tolist())]
 
-    Stops as soon as an evaluation satisfies |sigma^2| < threshold (1e-8 in
-    exact mode, max(2 * stderr, 0.01) in sampled mode), or when the budget of
-    objective evaluations is exhausted; the latter returns a trace with
-    ``converged=False`` rather than raising.  The trace's ``reason`` says
-    which of ``TERMINATION_REASONS`` ended the search.
-    """
-    x0 = np.atleast_1d(np.asarray(initial, dtype=float))
-    if x0.shape != (circuit.num_parameters,):
-        raise ValueError(
-            f"expected {circuit.num_parameters} initial parameters, got {x0.shape}"
-        )
-    if budget is None:
-        budget = 600 if config.exact else 200
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
 
-    evaluate = _point_evaluator(h, h2, circuit, config)
+def _sampled_point(h, h2, circuit, config: EstimatorConfig, params, index: int):
+    """``((energy, variance, energy_stderr, variance_stderr), result)`` of one
+    sampled ``estimate`` seeded by (config.seed, index)."""
+    result = estimate(
+        circuit, params, h, h2,
+        shots=config.shots, noise=config.noise, mitigation=config.mitigation,
+        seed=np.random.SeedSequence((config.seed, index)),
+    )
+    return (result.energy, result.variance, result.energy_stderr, result.variance_stderr), result
+
+
+def _search(h, h2, circuit, x0: np.ndarray, config: EstimatorConfig, budget: int):
+    """One start's restarted search as an ask/tell generator: yields
+    ``(parameters, index)`` for each evaluation, takes its ``(values,
+    result)`` by ``send`` (result None in exact mode) and returns the start's
+    ``RunTrace``."""
+    k = len(x0)
     records: list[IterationRecord] = []
     # (|variance|, parameters, result); the result is None in exact mode
     best: tuple[float, tuple[float, ...], EstimationResult | None] | None = None
-    crossing: tuple[tuple[float, ...], EstimationResult | None] | None = None
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal best, crossing
-        if len(records) >= budget:
-            raise _BudgetExhausted
-        params = tuple(x.tolist())
-        values, result = evaluate(params, len(records))
-        record = IterationRecord(params, *values)
-        records.append(record)
-        if best is None or abs(record.variance) < best[0]:
-            best = (abs(record.variance), params, result)
-        if abs(record.variance) < _threshold(config, record.variance_stderr):
-            crossing = (params, result)
-            raise _Converged
-        return record.variance
-
-    restart = 0
-    if circuit.num_parameters == 0:
-        try:
-            objective(x0)
-            reason = "stalled"
-        except _Converged:
-            reason = "converged"
+    if config.exact:
+        xatol, fatol, maxfev = 1e-9, 1e-13, 10**9
     else:
-        # the landscape lives on angles, so every round gets an explicit
-        # simplex with an absolute step; scipy's default simplex scales with
-        # |x0| and can start far below the shot-noise floor
-        options = dict(maxiter=10**9, maxfev=10**9)
-        if config.exact:
-            options.update(xatol=1e-9, fatol=1e-13)
-        else:
-            # a noisy objective never satisfies fatol, so cap each round and
-            # let the restart loop resume from the best point seen
-            options.update(xatol=1e-3, fatol=1e-3)
-            options["maxfev"] = max(40 * circuit.num_parameters, 60)
-        x_start = x0
-        while True:
-            step = max(0.5 * 0.2**restart, 1e-6)
-            opts = dict(options, initial_simplex=_initial_simplex(x_start, step))
-            seen = len(records)
-            try:
-                _sciopt.minimize(objective, x_start, method="Nelder-Mead", options=opts)
-            except _Converged:
-                reason = "converged"
-                break
-            except _BudgetExhausted:
-                reason = "budget"
-                break
+        # a noisy objective never satisfies fatol, so cap each round and
+        # let the restart loop resume from the best point seen
+        xatol, fatol, maxfev = 1e-3, 1e-3, max(40 * k, 60)
+    restart, x_start, crossing, reason = 0, x0, None, None
+    while True:
+        # the landscape lives on angles, so every round starts from a simplex
+        # with an absolute step; scipy's default simplex scales with |x0|
+        # and can start far below the shot-noise floor
+        simplex = _nelder_mead(x_start, max(0.5 * 0.2**restart, 1e-6), xatol, fatol, maxfev)
+        seen = len(records)
+        x = next(simplex, None)
+        while x is not None:
             if len(records) >= budget:
                 reason = "budget"
                 break
-            if len(records) == seen:
+            params = tuple(x.tolist())
+            values, result = yield params, len(records)
+            record = IterationRecord(params, *values)
+            records.append(record)
+            if best is None or abs(record.variance) < best[0]:
+                best = (abs(record.variance), params, result)
+            if abs(record.variance) < _threshold(config, record.variance_stderr):
+                crossing, reason = (params, result), "converged"
+                break
+            try:
+                x = simplex.send(record.variance)
+            except StopIteration:
+                x = None
+        if reason is None:
+            if k == 0 or len(records) == seen:
                 reason = "stalled"
-                break
-            if restart == _MAX_RESTARTS:
+            elif len(records) >= budget:
+                reason = "budget"
+            elif restart == _MAX_RESTARTS:
                 reason = "restart_cap"
-                break
-            restart += 1
-            x_start = np.asarray(best[1], dtype=float)
+        if reason is not None:
+            break
+        restart += 1
+        x_start = np.asarray(best[1], dtype=float)
 
     converged = reason == "converged"
     final_params, final_result = crossing if converged else best[1:]
@@ -291,6 +312,68 @@ def minimize_variance(
         reason=reason,
         restarts=restart,
     )
+
+
+def minimize_variance(
+    h: PauliSum,
+    h2: PauliSum,
+    circuit: Circuit,
+    initial,
+    config: EstimatorConfig = EstimatorConfig(),
+    budget: int | None = None,
+) -> RunTrace | list[RunTrace]:
+    """Minimize sigma^2 over the ansatz parameters.
+
+    ``initial`` of shape (k,) runs one start with ``config`` and returns its
+    ``RunTrace``.  Shape (B, k) runs B starts in lockstep, with ``config`` a
+    sequence of one ``EstimatorConfig`` per start, and returns their traces
+    in order; each trace equals the one its start gives alone.
+
+    A start stops as soon as an evaluation satisfies |sigma^2| < threshold
+    (1e-8 in exact mode, max(2 * stderr, 0.01) in sampled mode), or when its
+    budget of objective evaluations is exhausted; the latter returns a trace
+    with ``converged=False`` rather than raising.  The trace's ``reason``
+    says which of ``TERMINATION_REASONS`` ended the search.
+    """
+    k = circuit.num_parameters
+    starts = np.asarray(initial, dtype=float)
+    single = starts.ndim < 2
+    if single:
+        starts, configs = np.atleast_1d(starts)[None], (config,)
+    else:
+        configs = tuple(config) if isinstance(config, (list, tuple)) else ()
+    if starts.ndim != 2 or starts.shape[1] != k or len(starts) == 0:
+        raise ValueError(f"expected {k} initial parameters per start, got {np.shape(initial)}")
+    if len(configs) != len(starts) or not all(isinstance(c, EstimatorConfig) for c in configs):
+        raise ValueError(f"expected one EstimatorConfig per start, {len(starts)} in all")
+    if budget is not None:
+        _check_positive_int(budget, "budget")
+    _verify_problem(circuit, h, h2)
+
+    searches = [
+        _search(h, h2, circuit, x0, c, budget or (600 if c.exact else 200))
+        for x0, c in zip(starts, configs)
+    ]
+    traces: list[RunTrace | None] = [None] * len(searches)
+    replies = dict.fromkeys(range(len(searches)))
+    while replies:
+        pending = {}
+        for i, reply in replies.items():
+            try:
+                pending[i] = searches[i].send(reply)
+            except StopIteration as stop:
+                traces[i] = stop.value
+        # one round: every live start's next point, the exact ones prepared
+        # and read together
+        exact = [i for i in pending if configs[i].exact]
+        replies = {}
+        if exact:
+            values = _exact_values(h, circuit, [pending[i][0] for i in exact])
+            replies.update((i, (v, None)) for i, v in zip(exact, values))
+        for i, (params, index) in pending.items():
+            if not configs[i].exact:
+                replies[i] = _sampled_point(h, h2, circuit, configs[i], params, index)
+    return traces[0] if single else traces
 
 
 @dataclass(frozen=True)
@@ -332,14 +415,17 @@ def sweep(
         base = np.asarray(fixed_parameters, dtype=float)
         if base.shape != (k,):
             raise ValueError(f"fixed_parameters must supply all {k} slots")
-    evaluate = _point_evaluator(h, h2, circuit, config)
-    points = []
-    for i, angle in enumerate(grid):
-        params = base.copy()
-        params[parameter_index] = angle
-        values, _ = evaluate(tuple(params.tolist()), i)
-        points.append(SweepPoint(float(angle), *values))
-    return points
+    _verify_problem(circuit, h, h2)
+    points = np.tile(base, (len(grid), 1))
+    points[:, parameter_index] = grid
+    if config.exact:
+        values = _exact_values(h, circuit, points)
+    else:
+        values = [
+            _sampled_point(h, h2, circuit, config, tuple(params.tolist()), i)[0]
+            for i, params in enumerate(points)
+        ]
+    return [SweepPoint(float(angle), *v) for angle, v in zip(grid, values)]
 
 
 def accidental_zero_check(
@@ -355,7 +441,7 @@ def accidental_zero_check(
     A small sampled variance produced by shot noise alone fails this check
     because the underlying state is not close to any eigenvector.
     """
-    _, _, variance = _exact_moments(run(circuit, parameters), h)
+    _, _, variance = _exact_moments(run(circuit, parameters).amplitudes, h)
     residual = float(np.sqrt(variance))
     return residual < tolerance, residual
 
@@ -376,16 +462,16 @@ def discover_spectrum(
     must pass the accidental-zero check before the cluster is reported.
     Coverage is the fraction of exact eigenvalues matched by some cluster.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
+    _check_positive_int(n_starts, "n_starts")
+    _check_seed(master_seed, "master_seed")
     k = circuit.num_parameters
-    traces: list[RunTrace] = []
+    initial = np.empty((n_starts, k))
+    configs = []
     for i in range(n_starts):
         child = np.random.SeedSequence((master_seed, i))
-        initial = np.random.default_rng(child).uniform(-np.pi, np.pi, size=k)
-        run_seed = int(child.generate_state(1)[0])
-        run_config = replace(config, seed=run_seed)
-        traces.append(minimize_variance(h, h2, circuit, initial, run_config, budget=budget))
+        initial[i] = np.random.default_rng(child).uniform(-np.pi, np.pi, size=k)
+        configs.append(replace(config, seed=int(child.generate_state(1)[0])))
+    traces = minimize_variance(h, h2, circuit, initial, configs, budget=budget)
 
     converged = sorted(
         ((t.final.energy, i) for i, t in enumerate(traces) if t.converged),

@@ -92,26 +92,36 @@ def _readout_matrix(noise: NoiseModel, num_qubits: int) -> np.ndarray:
     return matrix
 
 
+@lru_cache(maxsize=64)
+def _basis_rows(terms: tuple, num_qubits: int) -> tuple[tuple, np.ndarray]:
+    """The distinct measurement bases of ``terms`` in first-seen order, each
+    as its ``(qubit, label)`` pairs where the term acts with X or Y, and
+    each term's row among them (read-only).  Built once per term tuple."""
+    if any(term.num_qubits != num_qubits for term in terms):
+        raise ValueError(f"every term must act on the circuit's {num_qubits} qubits")
+    row_of: dict[tuple, int] = {}
+    index = np.array([
+        row_of.setdefault(tuple((q, l) for q, l in enumerate(t.labels) if l in "XY"), len(row_of))
+        for t in terms
+    ], dtype=np.intp)
+    index.setflags(write=False)
+    return tuple(row_of), index
+
+
 def _basis_table(state: Statevector, terms) -> tuple[np.ndarray, np.ndarray]:
     """Ideal outcome distribution of each distinct measurement basis (the
     X/Y positions of a term), shape (bases, 2^n), and each term's row in it.
     The state is rotated once per basis."""
     n = state.num_qubits
-    if any(term.num_qubits != n for term in terms):
-        raise ValueError(f"every term must act on the circuit's {n} qubits")
-    rows, row_of, index = [], {}, []
-    for term in terms:
-        basis = tuple(label if label in "XY" else "Z" for label in term.labels)
-        if basis not in row_of:
-            row_of[basis] = len(rows)
-            rotated = state.amplitudes
-            for q, label in enumerate(basis):
-                if label != "Z":
-                    rotated = apply_single_qubit(rotated, n, q, _BASIS_CHANGES[label])
-            p = np.abs(rotated) ** 2
-            rows.append(p / p.sum())
-        index.append(row_of[basis])
-    return np.array(rows).reshape(len(rows), 2**n), np.array(index, dtype=np.intp)
+    bases, index = _basis_rows(tuple(terms), n)
+    rows = []
+    for basis in bases:
+        rotated = state.amplitudes
+        for q, label in basis:
+            rotated = apply_single_qubit(rotated, n, q, _BASIS_CHANGES[label])
+        p = np.abs(rotated) ** 2
+        rows.append(p / p.sum())
+    return np.array(rows).reshape(len(rows), 2**n), index
 
 
 def _noisy_rows(table: np.ndarray, index: np.ndarray, num_cnots: int, noise: NoiseModel):
@@ -146,7 +156,7 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     """Counts of ``shots`` readouts: one multinomial draw from one outcome
     distribution with ``np.random.default_rng(seed)``; an int or SeedSequence
     seed gives a fixed stream, and a Generator is advanced, not reseeded."""
-    _check_shots(shots)
+    _check_positive_int(shots)
     dist = np.asarray(distribution, dtype=float)
     # NaN fails both comparisons, and +inf fails the sum
     if dist.ndim != 1 or not (abs(dist.sum() - 1.0) <= 1e-9 and dist.min() >= 0.0):
@@ -154,10 +164,11 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, dist)
 
 
-def _check_shots(shots, name: str = "shots") -> None:
-    """Reject a shot count that is not a positive integer (bools included)."""
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ValueError(f"{name} must be a positive integer, got {shots!r}")
+def _check_positive_int(value, name: str = "shots") -> None:
+    """Reject a count (shots, starts, evaluations) that is not a positive
+    integer, bools included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _checked_counts(counts, num_qubits: int) -> np.ndarray:

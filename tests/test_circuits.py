@@ -198,6 +198,26 @@ class TestCompiledRun:
             got = run(circuit, params).amplitudes
             assert got.tobytes() == reference_amplitudes(circuit, params).tobytes(), params
 
+    @pytest.mark.parametrize("make,fold", [
+        (ansatz_1q, 1), (ansatz_2q, 1), (ansatz_2q, 3), (three_qubit_circuit, 1),
+    ])
+    def test_batched_rows_equal_single_runs(self, make, fold):
+        circuit = fold_cnots(make(), fold)
+        k = circuit.num_parameters
+        points = np.random.default_rng(23).uniform(-4.0, 4.0, (64, k))
+        points = np.concatenate([points, list(itertools.product(SPECIAL_ANGLES, repeat=k))])
+        for size in (1, 2, 7, len(points)):
+            batch = run(circuit, points[:size]).amplitudes
+            assert batch.shape == (size, 2**circuit.num_qubits)
+            for params, row in zip(points[:size], batch):
+                assert row.tobytes() == run(circuit, params).amplitudes.tobytes(), params
+
+    def test_batch_checks_every_row(self):
+        with pytest.raises(ValueError, match="normalized"):
+            run(ansatz_2q(), [[0.1, 0.2, 0.3], [0.1, np.nan, 0.3]])
+        with pytest.raises(ValueError, match="parameters"):
+            run(ansatz_2q(), np.zeros((2, 2, 3)))
+
     def test_fixed_angle_and_basis_gates_only(self):
         circuit = Circuit(2, (
             Gate("x", target=0), Gate("ry", target=1, angle=1.3), Gate("cnot", target=1, control=0),

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Fresh interpreters against the package in src/: every demo script runs to
+completion, and importing the package loads no optional dependency."""
 
 import os
 import subprocess
@@ -27,3 +28,14 @@ def test_demo_exits_cleanly(script):
 def test_demos_found():
     # an empty glob would parametrize the test above away silently
     assert DEMOS
+
+
+def test_import_leaves_scipy_out():
+    # scipy serves only the tests, as the Nelder-Mead oracle
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, lmgvqe, lmgvqe.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

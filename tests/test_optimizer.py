@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from lmgvqe import (
     sweep,
 )
 from lmgvqe.optimizer import (
-    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _point_evaluator
+    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _exact_values,
+    _initial_simplex, _nelder_mead,
 )
 
 from conftest import N3_A_EIGS, N7_EIGS, eigenstate_parameters_1q
@@ -135,15 +138,15 @@ class TestExactObjective:
     @pytest.mark.parametrize("name", ["n3_a", "n3_b", "n7_a", "n7_b"])
     def test_matches_estimate_bit_for_bit(self, request, name):
         setup = request.getfixturevalue(name)
-        evaluate = _point_evaluator(setup.h, setup.h2, setup.circuit, EXACT)
         points = np.random.default_rng(31).uniform(
             -np.pi, np.pi, (200, setup.circuit.num_parameters)
         )
-        for index, params in enumerate(points):
-            params = tuple(params.tolist())
-            (energy, variance, *stderrs), result = evaluate(params, index)
-            expected = estimate(setup.circuit, params, setup.h, setup.h2)
-            assert result is None and stderrs == [0.0, 0.0]
+        # one batched read of all 200 points, each row against its own estimate
+        values = _exact_values(setup.h, setup.circuit, points)
+        assert len(values) == len(points)
+        for params, (energy, variance, *stderrs) in zip(points, values):
+            expected = estimate(setup.circuit, tuple(params.tolist()), setup.h, setup.h2)
+            assert stderrs == [0.0, 0.0]
             assert repr((energy, variance)) == repr((expected.energy, expected.variance))
 
 
@@ -206,10 +209,147 @@ class TestInputRejectedBeforeAnyRecord:
         trace = minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [0.4], config, budget=5)
         assert trace.final.shots == 100
 
+    @pytest.mark.parametrize("name,value", [
+        ("n_starts", True), ("n_starts", 2.5), ("n_starts", 0), ("n_starts", -3),
+        ("budget", True), ("budget", 2.5), ("budget", 0),
+        ("master_seed", 1.5), ("master_seed", -1), ("master_seed", True),
+    ])
+    def test_bad_spectrum_inputs(self, n3_a, records, name, value):
+        kwargs = dict(n_starts=4, config=EXACT)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            discover_spectrum(n3_a.h, n3_a.h2, ansatz_1q(), **kwargs)
+        assert records == []
+
+    @pytest.mark.parametrize("budget", [True, 2.5, 0, np.float64(3.0)])
+    def test_bad_budget(self, n3_a, records, budget):
+        with pytest.raises(ValueError, match="budget"):
+            minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [0.3], EXACT, budget=budget)
+        assert records == []
+
+    def test_batched_starts_need_one_config_each(self, n3_a, records):
+        starts = [[0.1], [0.2]]
+        for config in (EXACT, [EXACT], [EXACT, EXACT, EXACT], [EXACT, None]):
+            with pytest.raises(ValueError, match="one EstimatorConfig per start"):
+                minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), starts, config)
+        with pytest.raises(ValueError, match="initial parameters"):
+            minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), np.zeros((2, 2)), [EXACT] * 2)
+        assert records == []
+
     def test_nan_initial_parameter(self, n3_a, records):
         with pytest.raises(ValueError, match="normalized"):
             minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [np.nan], EXACT)
         assert records == []
+
+
+def _scipy_points(f, x0, step, xatol, fatol, maxfev):
+    """Points scipy's Nelder-Mead evaluates, in order, from our simplex."""
+    from scipy.optimize import minimize
+
+    points = []
+
+    def objective(x):
+        points.append(tuple(x.tolist()))
+        return f(x)
+
+    options = dict(initial_simplex=_initial_simplex(x0, step), xatol=xatol, fatol=fatol,
+                   maxfev=maxfev, maxiter=10**9)
+    minimize(objective, x0, method="Nelder-Mead", options=options)
+    return points
+
+
+def _port_points(f, x0, step, xatol, fatol, maxfev):
+    points = []
+    search = _nelder_mead(x0, step, xatol, fatol, maxfev)
+    value = None
+    while True:
+        try:
+            x = search.send(value)
+        except StopIteration:
+            return points
+        points.append(tuple(x.tolist()))
+        value = f(x)
+
+
+def _spike(x0):
+    """0 at x0 and 1 elsewhere: every step ends in a shrink towards x0."""
+    return lambda x: 0.0 if tuple(x.tolist()) == tuple(x0.tolist()) else 1.0
+
+
+class TestNelderMeadPort:
+    """``_nelder_mead`` evaluates exactly the points scipy's Nelder-Mead does."""
+
+    X0 = np.array([0.7, -1.3, 2.1])
+
+    @pytest.mark.parametrize("name,f,xatol,fatol,maxfev,capped", [
+        # the xatol/fatol stop, through reflections, expansions and both
+        # contractions
+        ("quadratic", lambda x: float(np.sum((x - [0.2, 0.5, -1.0]) ** 2 * [1.0, 3.0, 0.5])),
+         1e-9, 1e-13, 10**9, False),
+        ("rosenbrock", lambda x: float(np.sum(100 * (x[1:] - x[:-1]**2)**2 + (1 - x[:-1])**2)),
+         1e-6, 1e-8, 10**9, False),
+        # every step shrinks, and the cap ends it
+        ("spike", _spike(X0), 1e-9, 1e-13, 50, True),
+        # all values tie, so the sorts decide every step, until xatol stops it
+        ("flat", lambda x: 1.0, 1e-3, 1e-3, 60, False),
+        # the cap ends it in the middle of a step
+        ("capped", lambda x: float(np.sum(np.abs(x)) + np.sin(7 * x[0])), 1e-9, 1e-13, 37, True),
+    ])
+    def test_same_points_as_scipy(self, name, f, xatol, fatol, maxfev, capped):
+        expected = _scipy_points(f, self.X0, 0.5, xatol, fatol, maxfev)
+        got = _port_points(f, self.X0, 0.5, xatol, fatol, maxfev)
+        assert got == expected
+        assert (len(got) == maxfev) == capped
+        if name == "spike":
+            # the first shrink halves every edge towards x0
+            assert tuple((self.X0 + [0.25, 0.0, 0.0]).tolist()) in got
+
+    def test_variance_objective_matches_scipy(self, n7_a):
+        def variance(x):
+            return estimate(n7_a.circuit, x, n7_a.h, n7_a.h2).variance
+
+        for x0 in np.random.default_rng(4).uniform(-np.pi, np.pi, (3, 3)):
+            expected = _scipy_points(variance, x0, 0.5, 1e-9, 1e-13, 300)
+            assert _port_points(variance, x0, 0.5, 1e-9, 1e-13, 300) == expected
+
+
+class TestLockstepStarts:
+    """Each trace of a lockstep spectrum is the trace its start gives alone."""
+
+    @staticmethod
+    def alone(setup, config, master_seed, i):
+        child = np.random.SeedSequence((master_seed, i))
+        initial = np.random.default_rng(child).uniform(
+            -np.pi, np.pi, size=setup.circuit.num_parameters
+        )
+        run_config = replace(config, seed=int(child.generate_state(1)[0]))
+        return minimize_variance(setup.h, setup.h2, setup.circuit, initial, run_config)
+
+    @pytest.mark.parametrize("name,config", [
+        ("n3_a", EXACT),
+        ("n7_a", EXACT),
+        ("n3_b", EstimatorConfig(
+            shots=2000, noise=NoiseModel(readout_p01=0.02, readout_p10=0.02),
+            mitigation=Mitigation(readout=True),
+        )),
+    ], ids=["exact_n3", "exact_n7", "sampled_n3_readout"])
+    def test_traces_equal_single_starts(self, request, name, config):
+        setup = request.getfixturevalue(name)
+        full = discover_spectrum(setup.h, setup.h2, setup.circuit, 40, config, master_seed=8)
+        few = discover_spectrum(setup.h, setup.h2, setup.circuit, 5, config, master_seed=8)
+        assert repr(few.traces) == repr(full.traces[:5])
+        for i in (0, 1, 17, 39):
+            assert repr(full.traces[i]) == repr(self.alone(setup, config, 8, i))
+
+    def test_batched_call_returns_one_trace_per_start(self, n7_a):
+        starts = np.random.default_rng(2).uniform(-np.pi, np.pi, (3, 3))
+        configs = [EXACT, EstimatorConfig(shots=500, seed=4), EXACT]
+        traces = minimize_variance(n7_a.h, n7_a.h2, n7_a.circuit, starts, configs, budget=40)
+        alone = [
+            minimize_variance(n7_a.h, n7_a.h2, n7_a.circuit, x, c, budget=40)
+            for x, c in zip(starts, configs)
+        ]
+        assert repr(traces) == repr(alone)
 
 
 class TestSweep:
