@@ -209,6 +209,17 @@ def run(circuit: Circuit, parameters=()) -> Statevector:
     return Statevector(amps)
 
 
+def _single_point(circuit: Circuit, parameters) -> np.ndarray:
+    """``parameters`` as one point of shape (k,).  The single-point entries
+    check this before preparing anything: only ``run`` takes a batch."""
+    params = np.asarray(parameters, dtype=float)
+    if params.shape != (circuit.num_parameters,):
+        raise ValueError(
+            f"expected one point of {circuit.num_parameters} parameters, got shape {params.shape}"
+        )
+    return params
+
+
 def fold_cnots(circuit: Circuit, fold: int) -> Circuit:
     """Replace every CNOT by ``fold`` consecutive copies of itself.
 

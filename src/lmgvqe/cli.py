@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import HARDWARE_REFERENCE, eigensolve, overlap_table
-from .circuits import Circuit, ansatz_1q, ansatz_2q
+from .circuits import ansatz_1q, ansatz_2q
 from .mitigation import Mitigation, MitigationError
 from .optimizer import (
     EstimatorConfig,
@@ -38,7 +38,7 @@ from .optimizer import (
     minimize_variance,
     sweep,
 )
-from .pauli import PauliSum, decompose
+from .pauli import decompose
 from .quasispin import ModelParams, QuasispinBlock, build_blocks, square_block
 from .simulator import NoiseModel
 
@@ -96,7 +96,7 @@ class ExperimentConfig:
             object.__setattr__(self, "fixed", tuple(float(x) for x in self.fixed))
         optional = [x for x in (("shots", self.shots), ("starts", self.starts)) if x[1] is not None]
         integers = [("n", self.n), ("seed", self.seed), ("steps", self.steps), *optional]
-        for name, value in integers + [("folds", f) for f in self.folds]:
+        for name, value in integers:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("eps", "v", "w", "noise_readout", "noise_cnot"):
@@ -250,7 +250,8 @@ def _selected_blocks(config: ExperimentConfig, default_both: bool) -> list[Quasi
     return [a, b] if default_both else [a]
 
 
-def _circuit_for(config: ExperimentConfig, block: QuasispinBlock) -> Circuit:
+def _problem(config: ExperimentConfig, block: QuasispinBlock):
+    """(circuit, H, H^2) of the block: its ansatz and both Pauli sums."""
     by_dim = {2: "1q", 4: "2q"}
     needed = by_dim.get(block.dim)
     if needed is None:
@@ -262,11 +263,8 @@ def _circuit_for(config: ExperimentConfig, block: QuasispinBlock) -> Circuit:
         raise ConfigError(
             f"ansatz {config.ansatz} does not match block dimension {block.dim}"
         )
-    return ansatz_1q() if needed == "1q" else ansatz_2q()
-
-
-def _hamiltonians(block: QuasispinBlock) -> tuple[PauliSum, PauliSum]:
-    return decompose(block.matrix), decompose(square_block(block))
+    circuit = ansatz_1q() if needed == "1q" else ansatz_2q()
+    return circuit, decompose(block.matrix), decompose(square_block(block))
 
 
 # ------------------------------------------------------------- output utils
@@ -323,12 +321,10 @@ def _matrix_lines(matrix: np.ndarray) -> str:
     return "\n".join(" ".join(_fmt(x) for x in row) for row in matrix) + "\n"
 
 
-def _trace_doc(trace: RunTrace, config: ExperimentConfig, block: QuasispinBlock) -> dict:
+def _run_summary(trace: RunTrace) -> dict:
+    """What one run did and found, as ``minimize.json`` and every
+    ``spectrum.json`` run entry report it."""
     return {
-        "format_version": FORMAT_VERSION,
-        "command": "minimize",
-        "config": config.experiment_dict(),
-        "block": block.parity,
         "converged": trace.converged,
         "evaluations": len(trace.iterations),
         "reason": trace.reason,
@@ -336,6 +332,16 @@ def _trace_doc(trace: RunTrace, config: ExperimentConfig, block: QuasispinBlock)
         "energy": trace.final.energy,
         "energy_stderr": trace.final.energy_stderr,
         "variance": trace.final.variance,
+    }
+
+
+def _trace_doc(trace: RunTrace, config: ExperimentConfig, block: QuasispinBlock) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "command": "minimize",
+        "config": config.experiment_dict(),
+        "block": block.parity,
+        **_run_summary(trace),
         "variance_stderr": trace.final.variance_stderr,
         "final_parameters": list(trace.final_parameters),
         "iterations": [asdict(rec) for rec in trace.iterations],
@@ -403,12 +409,11 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     grid = np.linspace(-np.pi, np.pi, config.steps)
     rows = []
     for block in _selected_blocks(config, default_both=True):
-        circuit = _circuit_for(config, block)
+        circuit, h, h2 = _problem(config, block)
         if circuit.num_parameters > 1 and config.fixed is None:
             raise ConfigError(
                 "sweeping a multi-parameter ansatz needs --fixed with one value per slot"
             )
-        h, h2 = _hamiltonians(block)
         points = sweep(
             h, h2, circuit, parameter_index=0, grid=grid,
             config=config.estimator, fixed_parameters=config.fixed,
@@ -433,8 +438,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
 def cmd_minimize(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     block = _selected_blocks(config, default_both=False)[0]
-    circuit = _circuit_for(config, block)
-    h, h2 = _hamiltonians(block)
+    circuit, h, h2 = _problem(config, block)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     initial = rng.uniform(-np.pi, np.pi, size=circuit.num_parameters)
     trace = minimize_variance(h, h2, circuit, initial, config.estimator)
@@ -453,13 +457,12 @@ def cmd_minimize(config: ExperimentConfig) -> int:
 
 def _spectrum_report(config: ExperimentConfig):
     block = _selected_blocks(config, default_both=False)[0]
-    circuit = _circuit_for(config, block)
-    h, h2 = _hamiltonians(block)
+    circuit, h, h2 = _problem(config, block)
     starts = config.starts if config.starts is not None else (20 if block.dim == 2 else 40)
     report = discover_spectrum(
         h, h2, circuit, starts, config.estimator, master_seed=config.seed
     )
-    return block, circuit, report
+    return block, report
 
 
 def _spectrum_doc(config: ExperimentConfig, block, report) -> dict:
@@ -484,19 +487,7 @@ def _spectrum_doc(config: ExperimentConfig, block, report) -> dict:
             }
             for c in report.clusters
         ],
-        "runs": [
-            {
-                "seed": t.seed,
-                "converged": t.converged,
-                "evaluations": len(t.iterations),
-                "reason": t.reason,
-                "restarts": t.restarts,
-                "energy": t.final.energy,
-                "energy_stderr": t.final.energy_stderr,
-                "variance": t.final.variance,
-            }
-            for t in report.traces
-        ],
+        "runs": [{"seed": t.seed, **_run_summary(t)} for t in report.traces],
     }
 
 
@@ -523,7 +514,7 @@ def _cluster_rows(config: ExperimentConfig, block, report) -> list[dict]:
 
 def cmd_spectrum(config: ExperimentConfig) -> int:
     out = _out_dir(config)
-    block, _, report = _spectrum_report(config)
+    block, report = _spectrum_report(config)
     doc = _spectrum_doc(config, block, report)
     rows = _cluster_rows(config, block, report)
     if out is not None:
@@ -542,7 +533,7 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
 
 def cmd_overlaps(config: ExperimentConfig) -> int:
     out = _out_dir(config)
-    block, _, report = _spectrum_report(config)
+    block, report = _spectrum_report(config)
     decomposition = eigensolve(block.matrix)
     table = overlap_table(report, decomposition)
     rows = []

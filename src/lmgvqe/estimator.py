@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Statevector, fold_cnots, run
+from .circuits import Circuit, Statevector, _single_point, fold_cnots, run
 from .mitigation import ConfusionMatrix, Mitigation, calibrate, cnot_extrapolate, mitigate_counts
 from .pauli import PauliString, PauliSum, parity_signs
 from .simulator import (
@@ -102,7 +102,9 @@ def _exact_moments(amps: np.ndarray, h: PauliSum):
 
 
 def expectation_exact(state: Statevector, observable: PauliSum) -> float:
-    """<psi|O|psi> from the amplitudes, exact to machine precision."""
+    """<psi|O|psi> of one state from its amplitudes, exact to machine precision."""
+    if state.amplitudes.ndim != 1:
+        raise ValueError(f"expected one state, got a batch of shape {state.amplitudes.shape}")
     if observable.num_qubits != state.num_qubits:
         raise ValueError(
             f"observable acts on {observable.num_qubits} qubits, state has {state.num_qubits}"
@@ -199,7 +201,7 @@ def estimate(
     """
     mitigation = mitigation or Mitigation()
     _verify_problem(circuit, h, h2)
-    parameters = tuple(float(p) for p in parameters)
+    parameters = tuple(_single_point(circuit, parameters).tolist())
 
     const_h, betas_h, strings_h = h.measured_arrays
     const_2, betas_2, strings_2 = h2.measured_arrays

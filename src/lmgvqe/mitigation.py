@@ -52,11 +52,14 @@ class Mitigation:
         object.__setattr__(self, "folds", tuple(self.folds))
         if self.calibration_shots is not None:
             _check_positive_int(self.calibration_shots, "calibration_shots")
-        if self.cnot:
-            if len(self.folds) < 2 or len(set(self.folds)) != len(self.folds):
-                raise ValueError(f"folds must be two or more distinct values, got {self.folds}")
-            if any(f < 1 or f % 2 == 0 for f in self.folds):
-                raise ValueError(f"folds must be odd positive integers, got {self.folds}")
+        # every fold is checked, whatever the flags; only CNOT extrapolation
+        # needs two of them
+        for fold in self.folds:
+            _check_positive_int(fold, "every fold")
+        if any(f % 2 == 0 for f in self.folds) or len(set(self.folds)) != len(self.folds):
+            raise ValueError(f"folds must be distinct odd integers, got {self.folds}")
+        if self.cnot and len(self.folds) < 2:
+            raise ValueError(f"CNOT mitigation needs two or more folds, got {self.folds}")
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,13 @@ smaller initial simplex.
 as an ask/tell generator: it yields each point to evaluate and takes the
 value back, visiting the points ``scipy.optimize.minimize`` would.  So one
 ``minimize_variance`` call advances any number of starts in lockstep: each
-round, every live start yields its next point.  In exact mode one batched
-``run`` prepares the round's points and one batched moment read
-(``estimator._exact_moments``) gives each <H> and sigma^2 = ||H psi - <H>
-psi||^2 from one product H psi.  Every row takes the arithmetic of a single
-read, so the values equal exact ``estimate``'s bit for bit and no start's
-trace depends on the others.  In sampled mode each point is one ``estimate``
-seeded by (its start's seed, its evaluation index).  A trace's exact final
-result is one ``estimate``, and each trace records why it stopped.
+round, every live start yields its next point, and one step, ``_evaluate``,
+reads them all, as a sweep reads its grid.  The exact points share one
+batched ``run`` and one moment read (``estimator._exact_moments``), each row
+with the arithmetic of exact ``estimate``, so no start's trace depends on
+the others; each sampled point is one ``estimate`` seeded by (its start's
+seed, its evaluation index).  A trace's exact final result is one
+``estimate``, and each trace records why it stopped.
 
 Every candidate eigenvalue is screened with an accidental-zero check: the
 residual ||H psi - <H> psi|| of the noiseless state, the square root of its
@@ -34,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import eigensolve
-from .circuits import Circuit, run
+from .circuits import Circuit, _single_point, run
 from .estimator import (
     EstimationResult, _exact_moments, _reject_noise_in_exact_mode, _verify_problem, estimate
 )
@@ -224,25 +223,29 @@ def _nelder_mead(x0: np.ndarray, step: float, xatol: float, fatol: float, maxfev
             return
 
 
-def _exact_values(h: PauliSum, circuit: Circuit, points) -> list[tuple[float, ...]]:
-    """(energy, variance, 0.0, 0.0) of each row of ``points`` from one
-    batched ``run`` and one moment read.  Each row takes the arithmetic of
-    exact ``estimate``, so its values equal estimate's bit for bit.  The
+def _evaluate(h, h2, circuit: Circuit, points, configs, indices) -> list:
+    """``(values, result)`` of each row of ``points``, with values
+    ``(energy, variance, energy_stderr, variance_stderr)`` read as its config
+    says.  The exact rows go through one batched ``run`` and one moment read,
+    each row with the arithmetic of exact ``estimate``, so its values equal
+    estimate's bit for bit; their result is None.  Each sampled row is one
+    ``estimate`` seeded by (its config's seed, its evaluation index).  The
     caller has checked the problem."""
-    energy, _, variance = _exact_moments(run(circuit, points).amplitudes, h)
-    # +0.0 stderrs, as exact estimate gives
-    return [(e, v, 0.0, 0.0) for e, v in zip(energy.tolist(), variance.tolist())]
-
-
-def _sampled_point(h, h2, circuit, config: EstimatorConfig, params, index: int):
-    """``((energy, variance, energy_stderr, variance_stderr), result)`` of one
-    sampled ``estimate`` seeded by (config.seed, index)."""
-    result = estimate(
-        circuit, params, h, h2,
-        shots=config.shots, noise=config.noise, mitigation=config.mitigation,
-        seed=np.random.SeedSequence((config.seed, index)),
-    )
-    return (result.energy, result.variance, result.energy_stderr, result.variance_stderr), result
+    points = np.asarray(points, dtype=float)
+    evaluated: list = [None] * len(points)
+    exact = [i for i, config in enumerate(configs) if config.exact]
+    if exact:
+        energy, _, variance = _exact_moments(run(circuit, points[exact]).amplitudes, h)
+        for i, e, v in zip(exact, energy.tolist(), variance.tolist()):
+            evaluated[i] = (e, v, 0.0, 0.0), None  # +0.0 stderrs, as exact estimate gives
+    for i, (config, index) in enumerate(zip(configs, indices)):
+        if not config.exact:
+            r = estimate(
+                circuit, points[i], h, h2, config.shots, config.noise, config.mitigation,
+                seed=np.random.SeedSequence((config.seed, index)),
+            )
+            evaluated[i] = (r.energy, r.variance, r.energy_stderr, r.variance_stderr), r
+    return evaluated
 
 
 def _search(h, h2, circuit, x0: np.ndarray, config: EstimatorConfig, budget: int):
@@ -300,9 +303,7 @@ def _search(h, h2, circuit, x0: np.ndarray, config: EstimatorConfig, budget: int
     converged = reason == "converged"
     final_params, final_result = crossing if converged else best[1:]
     if final_result is None:
-        final_result = estimate(
-            circuit, final_params, h, h2, noise=config.noise, mitigation=config.mitigation
-        )
+        final_result = estimate(circuit, final_params, h, h2)
     return RunTrace(
         iterations=records,
         converged=converged,
@@ -363,16 +364,11 @@ def minimize_variance(
                 pending[i] = searches[i].send(reply)
             except StopIteration as stop:
                 traces[i] = stop.value
-        # one round: every live start's next point, the exact ones prepared
-        # and read together
-        exact = [i for i in pending if configs[i].exact]
-        replies = {}
-        if exact:
-            values = _exact_values(h, circuit, [pending[i][0] for i in exact])
-            replies.update((i, (v, None)) for i, v in zip(exact, values))
-        for i, (params, index) in pending.items():
-            if not configs[i].exact:
-                replies[i] = _sampled_point(h, h2, circuit, configs[i], params, index)
+        # one round: every live start's next point, read in one step
+        live = list(pending)
+        points, indices = [pending[i][0] for i in live], [pending[i][1] for i in live]
+        evaluated = _evaluate(h, h2, circuit, points, [configs[i] for i in live], indices)
+        replies = dict(zip(live, evaluated))
     return traces[0] if single else traces
 
 
@@ -418,14 +414,8 @@ def sweep(
     _verify_problem(circuit, h, h2)
     points = np.tile(base, (len(grid), 1))
     points[:, parameter_index] = grid
-    if config.exact:
-        values = _exact_values(h, circuit, points)
-    else:
-        values = [
-            _sampled_point(h, h2, circuit, config, tuple(params.tolist()), i)[0]
-            for i, params in enumerate(points)
-        ]
-    return [SweepPoint(float(angle), *v) for angle, v in zip(grid, values)]
+    evaluated = _evaluate(h, h2, circuit, points, [config] * len(grid), range(len(grid)))
+    return [SweepPoint(float(angle), *values) for angle, (values, _) in zip(grid, evaluated)]
 
 
 def accidental_zero_check(
@@ -441,7 +431,10 @@ def accidental_zero_check(
     A small sampled variance produced by shot noise alone fails this check
     because the underlying state is not close to any eigenvector.
     """
-    _, _, variance = _exact_moments(run(circuit, parameters).amplitudes, h)
+    if h.num_qubits != circuit.num_qubits:
+        raise ValueError("Hamiltonian and circuit qubit counts differ")
+    point = _single_point(circuit, parameters)
+    _, _, variance = _exact_moments(run(circuit, point).amplitudes, h)
     residual = float(np.sqrt(variance))
     return residual < tolerance, residual
 
@@ -479,7 +472,6 @@ def discover_spectrum(
     )
     groups: list[list[int]] = []
     for energy, i in converged:
-        placed = False
         if groups:
             members = groups[-1]
             center = np.mean([traces[m].final.energy for m in members])
@@ -489,9 +481,8 @@ def discover_spectrum(
             )
             if abs(energy - center) <= _cluster_radius(spread):
                 members.append(i)
-                placed = True
-        if not placed:
-            groups.append([i])
+                continue
+        groups.append([i])
 
     clusters: list[SpectrumCluster] = []
     for members in groups:

@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuits import Circuit, Statevector, apply_single_qubit, ry_matrix, run
+from .circuits import Circuit, Statevector, _single_point, apply_single_qubit, ry_matrix, run
 
 __all__ = [
     "NoiseModel",
@@ -145,7 +145,8 @@ def outcome_distributions(
 ) -> np.ndarray:
     """Exact read-outcome distribution of each term's measurement circuit,
     shape (len(terms), 2^n): ``_noisy_rows`` of the ``_basis_table`` of the
-    prepared state."""
+    prepared state, for one point."""
+    parameters = _single_point(circuit, parameters)
     if not len(terms):  # nothing to measure, so no state to prepare
         return np.empty((0, 2**circuit.num_qubits))
     table, index = _basis_table(run(circuit, parameters), terms)

@@ -258,11 +258,21 @@ class TestConfigBuiltOnce:
         ["--mitigate", "cnot", "--folds", "2"],
         ["--mitigate", "cnot", "--folds", "1,3,3"],
         ["--noise-readout", "1.5"],
+        ["--folds", "2"],
+        ["--folds", "1,1"],
+        ["--folds", "0"],
+        ["--folds", "2,4"],
     ])
     def test_decompose_checks_noise_and_mitigation(self, extra, capsys):
         assert main(["decompose", "--n", "3", "--shots", "10", *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_spectrum_checks_folds_without_cnot(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["spectrum", "--n", "3", "--shots", "10", "--folds", "2,4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
 
     @pytest.mark.parametrize("fields", [
         {"n": 0},

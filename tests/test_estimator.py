@@ -21,8 +21,12 @@ from lmgvqe import (
     run,
     square_block,
 )
+import lmgvqe.estimator as estimator_module
+import lmgvqe.optimizer as optimizer_module
+import lmgvqe.simulator as simulator_module
+from lmgvqe import accidental_zero_check
 from lmgvqe.estimator import _term_estimates
-from lmgvqe.pauli import PauliString, PauliSum, string_matrix
+from lmgvqe.pauli import PauliString, PauliSum, decompose, string_matrix
 
 from conftest import N3_A_EIGS, eigenstate_parameters_1q, eigenstate_parameters_2q
 
@@ -277,6 +281,41 @@ class TestExactReads:
                 assert stderr == 0.0
             assert result.energy == pytest.approx(oracle(setup.h, state.amplitudes), abs=1e-12)
             assert result.h_squared == pytest.approx(oracle(setup.h2, state.amplitudes), abs=1e-12)
+
+
+class TestSinglePointEntries:
+    """The single-point entries reject a batch, and accidental_zero_check a
+    Hamiltonian on another register, before any state is prepared."""
+
+    @pytest.mark.parametrize("entry,match", [
+        ("estimate", "one point"),
+        ("estimate_sampled", "one point"),
+        ("accidental_zero_check", "one point"),
+        ("accidental_zero_check_register", "qubit counts"),
+        ("outcome_distributions", "one point"),
+        ("expectation_exact", "one state"),
+    ])
+    def test_batch_rejected_before_any_preparation(self, n7_a, monkeypatch, entry, match):
+        c, h, h2 = n7_a.circuit, n7_a.h, n7_a.h2
+        batch = np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 3))
+        states = run(c, batch)
+        calls = {
+            "estimate": lambda: estimate(c, batch, h, h2),
+            "estimate_sampled": lambda: estimate(c, batch, h, h2, shots=100),
+            "accidental_zero_check": lambda: accidental_zero_check(c, batch, h),
+            "accidental_zero_check_register":
+                lambda: accidental_zero_check(c, batch[0], decompose(np.eye(2))),
+            "outcome_distributions": lambda: outcome_distributions(c, batch, h.measured_arrays[2]),
+            "expectation_exact": lambda: expectation_exact(states, h),
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a state was prepared")
+
+        for module in (estimator_module, optimizer_module, simulator_module):
+            monkeypatch.setattr(module, "run", forbidden)
+        with pytest.raises(ValueError, match=match):
+            calls[entry]()
 
 
 def _numerical_gradient(func, x, step=1e-6):

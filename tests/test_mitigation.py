@@ -252,6 +252,24 @@ class TestMitigationFlags:
         with pytest.raises(ValueError):
             Mitigation(cnot=True, folds=(1, 2))
 
+    @pytest.mark.parametrize("flags", [
+        dict(folds=(2,)),
+        dict(folds=(1, 1)),
+        dict(folds=(0,)),
+        dict(folds=(-1, 3)),
+        dict(readout=True, folds=(2, 4)),
+        dict(folds=(1.0, 3)),
+        dict(cnot=True, folds=(1, 3.0)),
+        dict(cnot=True, folds=(True, 3)),
+    ])
+    def test_every_fold_checked_whatever_the_flags(self, flags):
+        with pytest.raises(ValueError, match="fold"):
+            Mitigation(**flags)
+
+    def test_one_fold_enough_without_cnot(self):
+        assert Mitigation(readout=True, folds=(1,)).folds == (1,)
+        assert Mitigation(cnot=True, folds=[np.int64(1), np.int64(5)]).folds == (1, 5)
+
     def test_defaults(self):
         flags = Mitigation()
         assert flags.folds == (1, 3)

@@ -21,7 +21,7 @@ from lmgvqe import (
     sweep,
 )
 from lmgvqe.optimizer import (
-    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _exact_values,
+    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _evaluate,
     _initial_simplex, _nelder_mead,
 )
 
@@ -142,12 +142,40 @@ class TestExactObjective:
             -np.pi, np.pi, (200, setup.circuit.num_parameters)
         )
         # one batched read of all 200 points, each row against its own estimate
-        values = _exact_values(setup.h, setup.circuit, points)
-        assert len(values) == len(points)
-        for params, (energy, variance, *stderrs) in zip(points, values):
+        evaluated = _evaluate(
+            setup.h, setup.h2, setup.circuit, points, [EXACT] * len(points), range(len(points))
+        )
+        assert len(evaluated) == len(points)
+        for params, ((energy, variance, *stderrs), result) in zip(points, evaluated):
             expected = estimate(setup.circuit, tuple(params.tolist()), setup.h, setup.h2)
-            assert stderrs == [0.0, 0.0]
+            assert stderrs == [0.0, 0.0] and result is None
             assert repr((energy, variance)) == repr((expected.energy, expected.variance))
+
+    def test_mixed_batch_rows_equal_their_own_estimates(self, n7_a):
+        # exact rows read together, each sampled row seeded by (its seed, its index)
+        points = np.random.default_rng(32).uniform(-np.pi, np.pi, (5, 3))
+        configs = [
+            EXACT,
+            EstimatorConfig(shots=500, seed=4),
+            EXACT,
+            EstimatorConfig(
+                shots=800, noise=NoiseModel(0.02, 0.02, 0.01),
+                mitigation=Mitigation(readout=True, cnot=True), seed=9,
+            ),
+            EstimatorConfig(shots=500, seed=4),
+        ]
+        indices = [0, 3, 7, 2, 11]
+        evaluated = _evaluate(n7_a.h, n7_a.h2, n7_a.circuit, points, configs, indices)
+        for params, config, index, (values, result) in zip(points, configs, indices, evaluated):
+            expected = estimate(
+                n7_a.circuit, params, n7_a.h, n7_a.h2, shots=config.shots, noise=config.noise,
+                mitigation=config.mitigation, seed=np.random.SeedSequence((config.seed, index)),
+            )
+            assert (result is None) if config.exact else (repr(result) == repr(expected))
+            assert repr(values) == repr((
+                expected.energy, expected.variance, expected.energy_stderr,
+                expected.variance_stderr,
+            ))
 
 
 class TestInputRejectedBeforeAnyRecord:
@@ -399,27 +427,35 @@ class TestSweep:
         )
         assert len(points) == 5
 
-    def test_exact_points_equal_estimate_per_point(self, n3_a, n7_a):
-        def expected(setup, circuit, params, angle):
-            result = estimate(circuit, params, setup.h, setup.h2)
+    @pytest.mark.parametrize("config", [EXACT, EstimatorConfig(shots=400, seed=6)],
+                             ids=["exact", "sampled"])
+    def test_exact_points_equal_estimate_per_point(self, n3_a, n7_a, config):
+        # a sampled point i of the grid is one estimate seeded by (config.seed, i)
+        def expected(setup, circuit, params, angle, i):
+            result = estimate(
+                circuit, params, setup.h, setup.h2, shots=config.shots,
+                seed=np.random.SeedSequence((config.seed, i)),
+            )
             return SweepPoint(
                 angle, result.energy, result.variance,
                 result.energy_stderr, result.variance_stderr,
             )
 
-        points = sweep(n3_a.h, n3_a.h2, ansatz_1q(), config=EXACT)
+        points = sweep(n3_a.h, n3_a.h2, ansatz_1q(), config=config)
         assert repr(points) == repr([
-            expected(n3_a, ansatz_1q(), [p.angle], p.angle) for p in points
+            expected(n3_a, ansatz_1q(), [p.angle], p.angle, i) for i, p in enumerate(points)
         ])
         fixed = (0.3, -1.1, 2.2)
         for index in range(3):
             points = sweep(
-                n7_a.h, n7_a.h2, ansatz_2q(), parameter_index=index, config=EXACT,
+                n7_a.h, n7_a.h2, ansatz_2q(), parameter_index=index, config=config,
                 fixed_parameters=fixed,
             )
             assert repr(points) == repr([
-                expected(n7_a, ansatz_2q(), fixed[:index] + (p.angle,) + fixed[index + 1:], p.angle)
-                for p in points
+                expected(
+                    n7_a, ansatz_2q(), fixed[:index] + (p.angle,) + fixed[index + 1:], p.angle, i
+                )
+                for i, p in enumerate(points)
             ])
 
 
