@@ -123,14 +123,14 @@ def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal: ConfusionMatrix 
     weighted-count formula of the module docstring."""
     shots = counts.sum(axis=-1)
     if cal is None:
-        q, w, cal_var = counts / shots[..., None], signs, 0.0
+        q, w2, cal_var = counts / shots[..., None], signs**2, 0.0
     else:
         q = mitigate_counts(counts, cal)
-        w = np.linalg.solve(cal.matrix.T, signs.T).T
+        w2 = np.linalg.solve(cal.matrix.T, signs.T).T ** 2
         # w . A_j = s_j = +-1, so each column's own term is w^2 . A_j - 1
-        cal_var = (q**2 * (w**2 @ cal.matrix - 1.0)).sum(axis=-1) / cal.shots_per_column
+        cal_var = (q**2 * (w2 @ cal.matrix - 1.0)).sum(axis=-1) / cal.shots_per_column
     mean = (signs * q).sum(axis=-1)
-    var = ((w**2 * counts).sum(axis=-1) / shots - mean**2) / shots + cal_var
+    var = ((w2 * counts).sum(axis=-1) / shots - mean**2) / shots + cal_var
     one_sign = np.abs((signs * counts).sum(axis=-1)) == shots
     if one_sign.any():  # the Agresti-Coull floor of the module docstring
         p = 2.0 / (shots + 4.0)
@@ -171,11 +171,11 @@ def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, m
     # odd folds prepare the same amplitudes, so one state and one basis
     # table serve every fold; the folded circuit only gives its CNOT count
     table, index = _basis_table(run(circuit, parameters), all_strings)
-    counts = []
-    for fold in folds:
+    counts = np.empty((len(folds), *signs.shape), dtype=np.int64)
+    for fold_counts, fold in zip(counts, folds):
         rows = _noisy_rows(table, index, fold_cnots(circuit, fold).num_cnots, noise)
-        counts.append([measure_term(row, shots, rng) for row in rows])
-    counts = np.array(counts).reshape(len(folds), *signs.shape)
+        for term_counts, row in zip(fold_counts, rows):
+            term_counts[...] = measure_term(row, shots, rng)
     means, stderrs = _term_estimates(counts, signs, cal)  # each (folds, terms)
     if len(folds) > 1:
         return cnot_extrapolate(zip(folds, means, stderrs))

@@ -75,10 +75,12 @@ class ConfusionMatrix:
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("confusion matrix must be square")
-        if np.any(mat < -1e-12) or np.any(mat > 1.0 + 1e-12):
+        # NaN fails every bound below
+        if not (mat.min() >= -1e-12 and mat.max() <= 1.0 + 1e-12):
             raise ValueError("confusion matrix entries must lie in [0, 1]")
-        if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-9:
+        if not np.abs(mat.sum(axis=0) - 1.0).max() <= 1e-9:
             raise ValueError("confusion matrix columns must sum to 1")
+        _check_positive_int(self.shots_per_column, "shots_per_column")
 
     @property
     def num_qubits(self) -> int:
@@ -130,16 +132,23 @@ def cnot_extrapolate(values):
     values = list(values)
     if len(values) < 2:
         raise ValueError("need at least two fold points to extrapolate")
-    folds = [int(f) for f, _, _ in values]
+    folds = [f for f, _, _ in values]
+    for fold in folds:
+        _check_positive_int(fold, "every fold")
     if len(set(folds)) != len(folds):
         raise ValueError(f"duplicate folds in {folds}")
     shape = np.shape(values[0][1])
-    points = np.array([(v, e) for _, v, e in values], dtype=float).reshape(len(values), 2, -1)
-    y, s = np.ascontiguousarray(points.transpose(1, 2, 0))  # each (elements, folds)
-    x = np.array(folds, dtype=float)
-    positive = np.all(s > 0, axis=1, keepdims=True)  # else unweighted; no 1/0 is formed
+    # each (elements, folds), C-contiguous: the per-element products below
+    # then round as the scalar calls do
+    y = np.array([v for _, v, _ in values], dtype=float).reshape(len(values), -1).T.copy()
+    s = np.array([e for _, _, e in values], dtype=float).reshape(len(values), -1).T.copy()
+    if y.shape != s.shape:
+        raise ValueError(f"estimates of shape {shape} and stderrs of another shape")
+    if not (s >= 0.0).all():  # NaN fails too
+        raise ValueError("stderrs must be non-negative")
+    positive = (s > 0).all(axis=1, keepdims=True)  # else unweighted; no 1/0 is formed
     weights = np.where(positive, 1.0 / np.where(positive, s, 1.0) ** 2, 1.0)
-    design = np.column_stack([np.ones_like(x), x])
+    design = np.array([(1.0, f) for f in folds], dtype=float)
     wd = design * weights[:, :, None]
     coeff_map = np.linalg.solve(design.T @ wd, wd.transpose(0, 2, 1))  # beta = coeff_map @ y
     intercept_weights = coeff_map[:, 0]

@@ -5,12 +5,19 @@ followed by a basis-change rotation on every qubit where the term acts with
 X or Y, then all qubits are read out in the computational basis.
 ``outcome_distributions`` computes the exact noisy outcome distribution of
 every term's measurement circuit as one table, in two halves:
-``_basis_table`` rotates a prepared state once per distinct basis into a
-table of ideal distributions, and ``_noisy_rows`` mixes in the noise of a
-CNOT count and the readout, then gathers one row per term.  The estimator
-prepares the state once per estimate and runs the first half once, the
-second once per CNOT fold.  ``measure_term`` samples one row with a single
-multinomial draw; every draw of an estimate comes from one Generator.
+``_basis_table`` rotates a prepared state into every distinct basis at once,
+giving a table of ideal distributions, and ``_noisy_rows`` mixes in the
+noise of a CNOT count and the readout, then gathers one row per term.  The
+estimator prepares the state once per estimate and runs the first half once,
+the second once per CNOT fold.  ``measure_term`` samples one row with a
+single multinomial draw; every draw of an estimate comes from one Generator.
+
+The rotations are compiled once per term tuple (``_basis_program``), as
+``Circuit._program`` compiles a circuit: step k applies every basis's k-th
+basis change to its own row of the table, or the identity where a basis has
+fewer, by the products and sums of ``apply_single_qubit``.  Addition
+commutes and an identity step changes only the sign of zeros, so each row is
+bit for bit the state rotated one basis change at a time.
 
 Each CNOT is followed, with probability ``cnot_depolarizing``, by a
 uniformly random non-identity two-qubit Pauli; on the supported registers
@@ -33,7 +40,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuits import Circuit, Statevector, _single_point, apply_single_qubit, ry_matrix, run
+from .circuits import Circuit, Statevector, _single_point, ry_matrix, run
 
 __all__ = [
     "NoiseModel",
@@ -93,10 +100,21 @@ def _readout_matrix(noise: NoiseModel, num_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _basis_rows(terms: tuple, num_qubits: int) -> tuple[tuple, np.ndarray]:
-    """The distinct measurement bases of ``terms`` in first-seen order, each
-    as its ``(qubit, label)`` pairs where the term acts with X or Y, and
-    each term's row among them (read-only).  Built once per term tuple."""
+def _basis_program(terms: tuple, num_qubits: int) -> tuple[tuple, np.ndarray]:
+    """The basis-change steps of the distinct measurement bases of ``terms``
+    and each term's row among them.  Built once per term tuple; every array
+    is read-only.
+
+    Bases are numbered in first-seen order, each one being the ``(qubit,
+    label)`` pairs where a term acts with X or Y.  Step k is a ``(keep, mix,
+    partner)`` triple of shape (bases, 2^n) that takes entry b of a row to
+    keep[b] a[b] + mix[b] a[partner[b]]: the k-th basis change U of the row's
+    basis on the qubit with bit mask m gives keep = U00 and mix = U01 where
+    bit m of b is 0, keep = U11 and mix = U10 where it is 1, and partner =
+    b ^ m.  A basis with fewer changes gets keep = 1, mix = 0, partner = b.
+    The first step reads the one state, so its partners index that vector;
+    later ones index the flattened table.  There is always one step, so the
+    result always has one row per basis."""
     if any(term.num_qubits != num_qubits for term in terms):
         raise ValueError(f"every term must act on the circuit's {num_qubits} qubits")
     row_of: dict[tuple, int] = {}
@@ -104,24 +122,42 @@ def _basis_rows(terms: tuple, num_qubits: int) -> tuple[tuple, np.ndarray]:
         row_of.setdefault(tuple((q, l) for q, l in enumerate(t.labels) if l in "XY"), len(row_of))
         for t in terms
     ], dtype=np.intp)
-    index.setflags(write=False)
-    return tuple(row_of), index
+    bases = tuple(row_of)
+    size = 2**num_qubits
+    b = np.arange(size)
+    steps = []
+    for k in range(max(1, max(map(len, bases), default=0))):
+        keep = np.ones((len(bases), size), dtype=complex)
+        mix = np.zeros_like(keep)
+        partner = np.tile(b, (len(bases), 1))
+        for row, basis in enumerate(bases):
+            if k < len(basis):
+                qubit, label = basis[k]
+                u = _BASIS_CHANGES[label]
+                mask = 1 << (num_qubits - 1 - qubit)  # qubit 0 is the most significant bit
+                high = (b & mask) != 0
+                keep[row] = np.where(high, u[1, 1], u[0, 0])
+                mix[row] = np.where(high, u[1, 0], u[0, 1])
+                partner[row] = b ^ mask
+        if k:
+            partner += size * np.arange(len(bases))[:, None]
+        steps.append((keep, mix, partner))
+    for array in (index, *(a for step in steps for a in step)):
+        array.setflags(write=False)
+    return tuple(steps), index
 
 
 def _basis_table(state: Statevector, terms) -> tuple[np.ndarray, np.ndarray]:
     """Ideal outcome distribution of each distinct measurement basis (the
     X/Y positions of a term), shape (bases, 2^n), and each term's row in it.
-    The state is rotated once per basis."""
-    n = state.num_qubits
-    bases, index = _basis_rows(tuple(terms), n)
-    rows = []
-    for basis in bases:
-        rotated = state.amplitudes
-        for q, label in basis:
-            rotated = apply_single_qubit(rotated, n, q, _BASIS_CHANGES[label])
-        p = np.abs(rotated) ** 2
-        rows.append(p / p.sum())
-    return np.array(rows).reshape(len(rows), 2**n), index
+    The compiled steps of ``_basis_program`` rotate the state into every
+    basis at once; each row is then |a|^2 normalised."""
+    steps, index = _basis_program(tuple(terms), state.num_qubits)
+    rotated = state.amplitudes
+    for keep, mix, partner in steps:
+        rotated = keep * rotated + mix * rotated.take(partner)
+    p = np.abs(rotated) ** 2
+    return p / p.sum(axis=1, keepdims=True), index
 
 
 def _noisy_rows(table: np.ndarray, index: np.ndarray, num_cnots: int, noise: NoiseModel):
@@ -157,10 +193,12 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     """Counts of ``shots`` readouts: one multinomial draw from one outcome
     distribution with ``np.random.default_rng(seed)``; an int or SeedSequence
     seed gives a fixed stream, and a Generator is advanced, not reseeded."""
-    _check_positive_int(shots)
+    if type(shots) is not int or shots < 1:
+        _check_positive_int(shots)
     dist = np.asarray(distribution, dtype=float)
-    # NaN fails both comparisons, and +inf fails the sum
-    if dist.ndim != 1 or not (abs(dist.sum() - 1.0) <= 1e-9 and dist.min() >= 0.0):
+    # NaN and +-inf fail the sum; the few entries are checked as Python floats
+    entries = dist.tolist()
+    if dist.ndim != 1 or not (abs(sum(entries) - 1.0) <= 1e-9 and min(entries) >= 0.0):
         raise ValueError("distribution must be a finite, non-negative vector summing to 1")
     return np.random.default_rng(seed).multinomial(shots, dist)
 
@@ -173,10 +211,14 @@ def _check_positive_int(value, name: str = "shots") -> None:
 
 
 def _checked_counts(counts, num_qubits: int) -> np.ndarray:
-    """Counts of shape (..., 2^n) with no negative entry and no empty row."""
+    """Integer counts (bools rejected) of shape (..., 2^n) with no negative
+    entry and no empty row."""
     counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
     if counts.shape[-1:] != (2**num_qubits,):
         raise ValueError(f"counts of shape {counts.shape} do not cover {num_qubits} qubits")
-    if np.any(counts < 0) or np.any(counts.sum(axis=-1) <= 0):
+    # with no negative entry, a row total is positive unless the row is all zero
+    if counts.min(initial=0) < 0 or not counts.sum(axis=-1).all():
         raise ValueError("counts must be non-negative with a positive total")
     return counts

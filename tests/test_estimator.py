@@ -1,3 +1,5 @@
+import inspect
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -454,6 +456,50 @@ class TestOnePreparationPerEstimate:
         estimate(ansatz_2q(), self.PARAMETERS, n7_a.h, n7_a.h2, shots=1000,
                  noise=DEFAULT_SYNTHETIC_NOISE, mitigation=mitigation, seed=3)
         assert calls == [ansatz_2q()]
+
+
+class TestCallsPerEstimate:
+    """One readout- and CNOT-mitigated estimate keeps its call structure: one
+    preparation and one calibration, one draw per calibration column and per
+    term and fold, one readout correction, one folded circuit per fold and
+    one extrapolation.  The benchmark's traced run counts these calls and
+    the shots drawn, so a cache or shortcut that drops one changes what it
+    reports."""
+
+    BINDINGS = (
+        ("estimator", "run"), ("estimator", "calibrate"), ("estimator", "measure_term"),
+        ("mitigation", "measure_term"), ("estimator", "mitigate_counts"),
+        ("estimator", "fold_cnots"), ("estimator", "cnot_extrapolate"),
+    )
+
+    @pytest.mark.parametrize("folds", [(1, 3), (1, 3, 5)])
+    def test_calls_by_name(self, n7_a, folds, monkeypatch):
+        import lmgvqe.mitigation as mitigation_module
+
+        modules = {"estimator": estimator_module, "mitigation": mitigation_module}
+        calls, shots = Counter(), Counter()
+        signature = inspect.signature(measure_term)
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "measure_term":
+                    shots[name] += signature.bind(*args, **kwargs).arguments["shots"]
+                return function(*args, **kwargs)
+            return wrapper
+
+        for module, name in self.BINDINGS:
+            monkeypatch.setattr(modules[module], name, counted(name, getattr(modules[module], name)))
+        mitigation = Mitigation(readout=True, cnot=True, folds=folds, calibration_shots=3000)
+        estimate(ansatz_2q(), (0.3, -1.1, 2.0), n7_a.h, n7_a.h2, shots=1000,
+                 noise=DEFAULT_SYNTHETIC_NOISE, mitigation=mitigation, seed=5)
+        terms = len(n7_a.h.measured_terms) + len(n7_a.h2.measured_terms)
+        assert terms == 15
+        assert dict(calls) == {
+            "run": 1, "calibrate": 1, "measure_term": 4 + terms * len(folds),
+            "mitigate_counts": 1, "fold_cnots": len(folds), "cnot_extrapolate": 1,
+        }
+        assert shots["measure_term"] == 4 * 3000 + terms * len(folds) * 1000
 
 
 class TestOneStreamPerEstimate:

@@ -141,6 +141,23 @@ class TestConfusionMatrixValidation:
         with pytest.raises(ValueError):
             ConfusionMatrix(np.array([[1.5, 0.0], [-0.5, 1.0]]), shots_per_column=1)
 
+    @pytest.mark.parametrize("matrix, shots", [
+        ([[np.nan, 0.0], [np.nan, 1.0]], 100),
+        ([[1.0, 0.0], [0.0, np.nan]], 100),
+        ([[1.0, np.inf], [0.0, 1.0]], 100),
+        (np.eye(2), 0),
+        (np.eye(2), -3),
+        (np.eye(2), 2.5),
+        (np.eye(2), True),
+        (np.eye(2), None),
+    ], ids=["nan-column", "nan-entry", "inf-entry", "zero-shots", "negative-shots",
+            "float-shots", "bool-shots", "no-shots"])
+    def test_nan_entries_and_bad_shots_rejected(self, matrix, shots):
+        # a NaN entry would turn every mitigated count into NaN, and zero
+        # shots per column would divide by zero in the calibration stderrs
+        with pytest.raises(ValueError):
+            ConfusionMatrix(np.array(matrix), shots_per_column=shots)
+
 
 class TestCnotExtrapolate:
     def test_two_point_formula(self):
@@ -189,6 +206,23 @@ class TestCnotExtrapolate:
             cnot_extrapolate([(1, 1.0, 0.0)])
         with pytest.raises(ValueError):
             cnot_extrapolate([(1, 1.0, 0.0), (1, 0.9, 0.0)])
+
+    @pytest.mark.parametrize("values", [
+        [(1.5, 1.0, 0.1), (3, 1.0, 0.1)],
+        [(1, 1.0, 0.1), (3.0, 0.9, 0.1)],
+        [(True, 1.0, 0.1), (3, 0.9, 0.1)],
+        [(0, 1.0, 0.1), (3, 0.9, 0.1)],
+        [(1, 1.0, -0.1), (3, 0.9, 0.1)],
+        [(1, 1.0, np.nan), (3, 0.9, 0.1)],
+        [(1, np.ones(3), np.full(3, 0.1)), (3, np.ones(3), np.array([0.1, -0.1, 0.1]))],
+        [(1, np.ones(3), 0.1), (3, np.ones(3), 0.1)],
+    ], ids=["fractional-fold", "float-fold", "bool-fold", "zero-fold", "negative-stderr",
+            "nan-stderr", "negative-stderr-element", "stderr-shape"])
+    def test_bad_folds_and_stderrs_rejected(self, values):
+        # a fold of 1.5 must not be read as fold 1; zero stderrs are valid
+        # (an unweighted fit, see test_two_point_formula)
+        with pytest.raises(ValueError):
+            cnot_extrapolate(values)
 
     @pytest.mark.parametrize("p_cnot", [0.01, 0.05])
     def test_linear_fold_bias_closed_form(self, p_cnot):

@@ -11,6 +11,7 @@ from lmgvqe import (
     NoiseModel,
     PauliString,
     PauliSum,
+    Statevector,
     ansatz_1q,
     ansatz_2q,
     estimate,
@@ -330,6 +331,43 @@ class TestOutcomeTable:
                 )
                 np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _one_basis_at_a_time(amps, terms):
+        """The reference table: each distinct basis, in first-seen order,
+        rotated one basis change at a time by ``apply_single_qubit``."""
+        n = amps.size.bit_length() - 1
+        changes = {"X": _X_BASIS_CHANGE, "Y": _Y_BASIS_CHANGE}
+        row_of, rows, index = {}, [], []
+        for term in terms:
+            basis = tuple((q, label) for q, label in enumerate(term.labels) if label in "XY")
+            if basis not in row_of:
+                row_of[basis] = len(rows)
+                rotated = amps
+                for q, label in basis:
+                    rotated = apply_single_qubit(rotated, n, q, changes[label])
+                p = np.abs(rotated) ** 2
+                rows.append(p / p.sum())
+            index.append(row_of[basis])
+        return np.array(rows), index
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_complex_states_bit_identical_to_one_basis_at_a_time(self, num_qubits):
+        # RY, X and CNOT only prepare real amplitudes; these are complex,
+        # some with zero entries, measured in every Pauli string's basis
+        rng = np.random.default_rng(300 + num_qubits)
+        size = 2**num_qubits
+        strings = [PauliString(labels) for labels in product("IXYZ", repeat=num_qubits)]
+        for trial in range(30):
+            amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+            amps[rng.permutation(size)[: trial % size]] = 0.0
+            amps /= np.linalg.norm(amps)
+            terms = [strings[i] for i in rng.permutation(len(strings))]
+            table, index = _basis_table(Statevector(amps), terms)
+            expected, expected_index = self._one_basis_at_a_time(amps, terms)
+            assert table.shape == expected.shape
+            assert table.tobytes() == expected.tobytes()
+            assert index.tolist() == expected_index
+
     def test_readout_matrix_built_once_and_read_only(self):
         noise = NoiseModel(0.02, 0.05)
         matrix = _readout_matrix(noise, 2)
@@ -373,13 +411,17 @@ class TestExpectationFromCounts:
         mean, stderr = expectation_from_counts(result, PauliString(("Z", "Z")))
         assert mean == 1.0 and stderr == pytest.approx(agresti_coull_stderr(10_000), rel=1e-12)
 
-    @pytest.mark.parametrize("counts", [[1, 0, 0, 0], [5, -1], [0, 0]])
+    @pytest.mark.parametrize("counts", [
+        [1, 0, 0, 0], [5, -1], [0, 0],
+        [np.nan, 1], [np.inf, 1], [0.5, 0.5], [True, False], ["3", "4"],
+    ])
     @pytest.mark.parametrize("consume", [
         lambda c: expectation_from_counts(c, Z0),
         lambda c: mitigate_counts(c, ConfusionMatrix(np.eye(2), shots_per_column=1)),
     ], ids=["expectation_from_counts", "mitigate_counts"])
     def test_malformed_counts_rejected(self, consume, counts):
-        # wrong length, a negative entry, no shots
+        # wrong length, a negative entry, no shots; then counts that are not
+        # integers: NaN, inf, fractions, bools and strings
         with pytest.raises(ValueError):
             consume(np.array(counts))
 
