@@ -138,12 +138,12 @@ def cnot_extrapolate(values):
     if len(set(folds)) != len(folds):
         raise ValueError(f"duplicate folds in {folds}")
     shape = np.shape(values[0][1])
+    if any(np.shape(v) != shape or np.shape(e) != shape for _, v, e in values):
+        raise ValueError(f"every estimate and stderr must have the shape {shape}")
     # each (elements, folds), C-contiguous: the per-element products below
     # then round as the scalar calls do
     y = np.array([v for _, v, _ in values], dtype=float).reshape(len(values), -1).T.copy()
     s = np.array([e for _, _, e in values], dtype=float).reshape(len(values), -1).T.copy()
-    if y.shape != s.shape:
-        raise ValueError(f"estimates of shape {shape} and stderrs of another shape")
     if not (s >= 0.0).all():  # NaN fails too
         raise ValueError("stderrs must be non-negative")
     positive = (s > 0).all(axis=1, keepdims=True)  # else unweighted; no 1/0 is formed

@@ -193,8 +193,7 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     """Counts of ``shots`` readouts: one multinomial draw from one outcome
     distribution with ``np.random.default_rng(seed)``; an int or SeedSequence
     seed gives a fixed stream, and a Generator is advanced, not reseeded."""
-    if type(shots) is not int or shots < 1:
-        _check_positive_int(shots)
+    _check_positive_int(shots)
     dist = np.asarray(distribution, dtype=float)
     # NaN and +-inf fail the sum; the few entries are checked as Python floats
     entries = dist.tolist()
@@ -205,8 +204,11 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
 
 def _check_positive_int(value, name: str = "shots") -> None:
     """Reject a count (shots, starts, evaluations) that is not a positive
-    integer, bools included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    integer, bools included.  A plain int skips the slower ABC check."""
+    integral = type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+    if not integral or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

@@ -216,8 +216,11 @@ class TestCnotExtrapolate:
         [(1, 1.0, np.nan), (3, 0.9, 0.1)],
         [(1, np.ones(3), np.full(3, 0.1)), (3, np.ones(3), np.array([0.1, -0.1, 0.1]))],
         [(1, np.ones(3), 0.1), (3, np.ones(3), 0.1)],
+        [(1, np.ones((2, 3)), np.full(6, 0.1)), (3, np.ones((2, 3)), np.full(6, 0.1))],
+        [(1, np.ones(3), np.full(3, 0.1)), (3, np.ones(2), np.full(2, 0.1))],
     ], ids=["fractional-fold", "float-fold", "bool-fold", "zero-fold", "negative-stderr",
-            "nan-stderr", "negative-stderr-element", "stderr-shape"])
+            "nan-stderr", "negative-stderr-element", "stderr-shape", "stderr-flat-shape",
+            "estimate-shapes"])
     def test_bad_folds_and_stderrs_rejected(self, values):
         # a fold of 1.5 must not be read as fold 1; zero stderrs are valid
         # (an unweighted fit, see test_two_point_formula)
