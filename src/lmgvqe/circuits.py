@@ -16,6 +16,7 @@ amplitudes agree with it bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -220,14 +221,27 @@ def _single_point(circuit: Circuit, parameters) -> np.ndarray:
     return params
 
 
+def _check_int(value, name: str = "shots", minimum: int = 1) -> None:
+    """Reject a count (shots, folds, particles, ...) that is not a positive
+    integer, or a seed (``minimum`` 0) that is not a non-negative one, bools
+    included.  A plain int skips the slower ABC check."""
+    integral = type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+    if not integral or value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def fold_cnots(circuit: Circuit, fold: int) -> Circuit:
     """Replace every CNOT by ``fold`` consecutive copies of itself.
 
     ``fold`` must be odd and positive, so the folded circuit is unitarily
     identical to the original and only amplifies CNOT gate noise.
     """
-    if int(fold) != fold or fold < 1 or fold % 2 == 0:
-        raise ValueError(f"fold must be an odd positive integer, got {fold}")
+    _check_int(fold, "fold")
+    if fold % 2 == 0:
+        raise ValueError(f"fold must be an odd positive integer, got {fold!r}")
     gates = []
     for gate in circuit.gates:
         gates.extend([gate] * (fold if gate.kind == "cnot" else 1))

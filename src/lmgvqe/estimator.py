@@ -42,14 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Statevector, _single_point, fold_cnots, run
+from .circuits import Circuit, Statevector, _check_int, _single_point, fold_cnots, run
 from .mitigation import ConfusionMatrix, Mitigation, calibrate, cnot_extrapolate, mitigate_counts
 from .pauli import PauliString, PauliSum, parity_signs
 from .simulator import (
     NOISELESS,
     NoiseModel,
     _basis_table,
-    _check_positive_int,
     _checked_counts,
     _noisy_rows,
     measure_term,
@@ -215,7 +214,7 @@ def estimate(
         energy, h_sq, variance = map(float, _exact_moments(state.amplitudes, h))
         energy_stderr = h_sq_stderr = 0.0
     else:
-        _check_positive_int(shots)
+        _check_int(shots)
         means, stderrs = _sampled_term_means(
             circuit, parameters, all_strings, signs, shots, noise, mitigation, seed
         )

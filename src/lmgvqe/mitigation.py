@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import (
-    NoiseModel, _check_positive_int, _checked_counts, _readout_matrix, measure_term
-)
+from .circuits import _check_int
+from .simulator import NoiseModel, _checked_counts, _readout_matrix, measure_term
 
 __all__ = [
     "Mitigation",
@@ -51,11 +50,11 @@ class Mitigation:
     def __post_init__(self):
         object.__setattr__(self, "folds", tuple(self.folds))
         if self.calibration_shots is not None:
-            _check_positive_int(self.calibration_shots, "calibration_shots")
+            _check_int(self.calibration_shots, "calibration_shots")
         # every fold is checked, whatever the flags; only CNOT extrapolation
         # needs two of them
         for fold in self.folds:
-            _check_positive_int(fold, "every fold")
+            _check_int(fold, "every fold")
         if any(f % 2 == 0 for f in self.folds) or len(set(self.folds)) != len(self.folds):
             raise ValueError(f"folds must be distinct odd integers, got {self.folds}")
         if self.cnot and len(self.folds) < 2:
@@ -80,7 +79,7 @@ class ConfusionMatrix:
             raise ValueError("confusion matrix entries must lie in [0, 1]")
         if not np.abs(mat.sum(axis=0) - 1.0).max() <= 1e-9:
             raise ValueError("confusion matrix columns must sum to 1")
-        _check_positive_int(self.shots_per_column, "shots_per_column")
+        _check_int(self.shots_per_column, "shots_per_column")
 
     @property
     def num_qubits(self) -> int:
@@ -95,7 +94,7 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be positive")
-    _check_positive_int(shots)
+    _check_int(shots)
     rng = np.random.default_rng(seed)
     readout = _readout_matrix(noise, num_qubits)
     matrix = np.zeros_like(readout)
@@ -134,7 +133,7 @@ def cnot_extrapolate(values):
         raise ValueError("need at least two fold points to extrapolate")
     folds = [f for f, _, _ in values]
     for fold in folds:
-        _check_positive_int(fold, "every fold")
+        _check_int(fold, "every fold")
     if len(set(folds)) != len(folds):
         raise ValueError(f"duplicate folds in {folds}")
     shape = np.shape(values[0][1])

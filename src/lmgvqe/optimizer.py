@@ -8,17 +8,21 @@ shrink restarts: when the simplex collapses above the convergence threshold
 and evaluation budget remains, the search resumes from the best point with a
 smaller initial simplex.
 
-``_nelder_mead`` is a port of scipy's non-adaptive, unbounded Nelder-Mead
-as an ask/tell generator: it yields each point to evaluate and takes the
-value back, visiting the points ``scipy.optimize.minimize`` would.  So one
-``minimize_variance`` call advances any number of starts in lockstep: each
-round, every live start yields its next point, and one step, ``_evaluate``,
-reads them all, as a sweep reads its grid.  The exact points share one
-batched ``run`` and one moment read (``estimator._exact_moments``), each row
-with the arithmetic of exact ``estimate``, so no start's trace depends on
-the others; each sampled point is one ``estimate`` seeded by (its start's
-seed, its evaluation index).  A trace's exact final result is one
-``estimate``, and each trace records why it stopped.
+``_nelder_mead`` is a port of scipy's non-adaptive, unbounded Nelder-Mead as
+an ask/tell generator: it builds its simplex, yields each point to evaluate
+and takes the value back, visiting the points ``scipy.optimize.minimize``
+would, and caps nothing.  ``_search`` runs one start's restart rounds and
+holds its only evaluation counts: before each evaluation it tests scipy's
+per-round ``maxfev`` cap, as scipy's wrapper does, and the start's budget.
+So one ``minimize_variance`` call advances any number of starts in lockstep:
+each round, every live start yields its next point, and one step,
+``_evaluate``, reads them all, as a sweep reads its grid.  The exact points
+share one batched ``run`` and one moment read
+(``estimator._exact_moments``), each row with the arithmetic of exact
+``estimate``, so no start's trace depends on the others; each sampled point
+is one ``estimate`` seeded by (its start's seed, its evaluation index).  A
+trace's exact final result is one ``estimate``, and each trace records why
+it stopped.
 
 Every candidate eigenvalue is screened with an accidental-zero check: the
 residual ||H psi - <H> psi|| of the noiseless state, the square root of its
@@ -27,19 +31,18 @@ exact variance, which catches variance minima manufactured by sampling noise.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import eigensolve
-from .circuits import Circuit, _single_point, run
+from .circuits import Circuit, _check_int, _single_point, run
 from .estimator import (
     EstimationResult, _exact_moments, _reject_noise_in_exact_mode, _verify_problem, estimate
 )
 from .mitigation import Mitigation
 from .pauli import PauliSum
-from .simulator import NOISELESS, NoiseModel, _check_positive_int
+from .simulator import NOISELESS, NoiseModel
 
 __all__ = [
     "EstimatorConfig",
@@ -58,13 +61,8 @@ SAMPLED_VARIANCE_FLOOR = 0.01
 CLUSTER_RADIUS_FLOOR = 1e-3
 RESIDUAL_TOL = 1e-6
 _MAX_RESTARTS = 30
-# "stalled": no free parameter, or a round that made no evaluation
+# "stalled": no free parameter, so the first round's one point is all there is
 TERMINATION_REASONS = ("converged", "budget", "restart_cap", "stalled")
-
-
-def _check_seed(seed, name: str = "seed") -> None:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.shots is not None:
-            _check_positive_int(self.shots)
-        _check_seed(self.seed)
+            _check_int(self.shots)
+        _check_int(self.seed, "seed", minimum=0)
         if self.exact:
             _reject_noise_in_exact_mode(self.noise, self.mitigation)
 
@@ -152,21 +150,18 @@ def _matching_cluster(clusters, value: float) -> SpectrumCluster | None:
     return None
 
 
-def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
-    simplex = np.tile(x0, (len(x0) + 1, 1))
-    for i in range(len(x0)):
-        simplex[i + 1, i] += step
-    return simplex
-
-
-def _nelder_mead_steps(sim: np.ndarray, xatol: float, fatol: float):
-    """scipy's non-adaptive, unbounded Nelder-Mead from the simplex ``sim``,
-    with no cap on evaluations: an ask/tell generator that yields each point
-    to evaluate and takes its value by ``send``.  Same coefficients, sorts
-    and arithmetic as ``scipy.optimize.minimize(method="Nelder-Mead")``, so
-    it visits the same points."""
+def _nelder_mead(x0: np.ndarray, step: float, xatol: float, fatol: float):
+    """scipy's non-adaptive, unbounded Nelder-Mead from the simplex of ``x0``
+    and ``x0`` plus ``step`` along each axis, as an ask/tell generator: it
+    yields each point to evaluate and takes its value by ``send`` until the
+    simplex converges to within xatol and fatol, with no cap on evaluations.
+    Same coefficients, sorts and arithmetic as ``scipy.optimize.minimize``,
+    so it visits the same points."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    n = sim.shape[1]
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for i in range(n):
+        sim[i + 1, i] += step
     fsim = np.full(n + 1, np.inf)
     for k in range(n + 1):
         fsim[k] = yield sim[k]
@@ -208,21 +203,6 @@ def _nelder_mead_steps(sim: np.ndarray, xatol: float, fatol: float):
         sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
 
 
-def _nelder_mead(x0: np.ndarray, step: float, xatol: float, fatol: float, maxfev: int):
-    """Nelder-Mead from the simplex of ``x0`` and ``step`` as an ask/tell
-    generator (``_nelder_mead_steps``).  It stops when the simplex has
-    converged to within xatol and fatol, or, checked before each evaluation
-    as scipy's wrapper does, when ``maxfev`` points have been evaluated."""
-    steps = _nelder_mead_steps(_initial_simplex(x0, step), xatol, fatol)
-    x = next(steps)
-    for _ in range(maxfev):
-        value = yield x
-        try:
-            x = steps.send(value)
-        except StopIteration:
-            return
-
-
 def _evaluate(h, h2, circuit: Circuit, points, configs, indices) -> list:
     """``(values, result)`` of each row of ``points``, with values
     ``(energy, variance, energy_stderr, variance_stderr)`` read as its config
@@ -252,7 +232,9 @@ def _search(h, h2, circuit, x0: np.ndarray, config: EstimatorConfig, budget: int
     """One start's restarted search as an ask/tell generator: yields
     ``(parameters, index)`` for each evaluation, takes its ``(values,
     result)`` by ``send`` (result None in exact mode) and returns the start's
-    ``RunTrace``."""
+    ``RunTrace``.  It alone counts evaluations: before each one it ends the
+    round once ``maxfev`` points of the round are evaluated, as scipy's
+    wrapper does, and the search once ``budget`` points are."""
     k = len(x0)
     records: list[IterationRecord] = []
     # (|variance|, parameters, result); the result is None in exact mode
@@ -264,17 +246,13 @@ def _search(h, h2, circuit, x0: np.ndarray, config: EstimatorConfig, budget: int
         # let the restart loop resume from the best point seen
         xatol, fatol, maxfev = 1e-3, 1e-3, max(40 * k, 60)
     restart, x_start, crossing, reason = 0, x0, None, None
-    while True:
+    while reason is None:
         # the landscape lives on angles, so every round starts from a simplex
         # with an absolute step; scipy's default simplex scales with |x0|
         # and can start far below the shot-noise floor
-        simplex = _nelder_mead(x_start, max(0.5 * 0.2**restart, 1e-6), xatol, fatol, maxfev)
-        seen = len(records)
-        x = next(simplex, None)
-        while x is not None:
-            if len(records) >= budget:
-                reason = "budget"
-                break
+        steps = _nelder_mead(x_start, max(0.5 * 0.2**restart, 1e-6), xatol, fatol)
+        x, stop = next(steps), min(len(records) + maxfev, budget)
+        while x is not None and len(records) < stop:
             params = tuple(x.tolist())
             values, result = yield params, len(records)
             record = IterationRecord(params, *values)
@@ -285,20 +263,19 @@ def _search(h, h2, circuit, x0: np.ndarray, config: EstimatorConfig, budget: int
                 crossing, reason = (params, result), "converged"
                 break
             try:
-                x = simplex.send(record.variance)
+                x = steps.send(record.variance)
             except StopIteration:
                 x = None
         if reason is None:
-            if k == 0 or len(records) == seen:
+            if k == 0:
                 reason = "stalled"
             elif len(records) >= budget:
                 reason = "budget"
             elif restart == _MAX_RESTARTS:
                 reason = "restart_cap"
-        if reason is not None:
-            break
-        restart += 1
-        x_start = np.asarray(best[1], dtype=float)
+            else:
+                restart += 1
+                x_start = np.asarray(best[1], dtype=float)
 
     converged = reason == "converged"
     final_params, final_result = crossing if converged else best[1:]
@@ -348,7 +325,7 @@ def minimize_variance(
     if len(configs) != len(starts) or not all(isinstance(c, EstimatorConfig) for c in configs):
         raise ValueError(f"expected one EstimatorConfig per start, {len(starts)} in all")
     if budget is not None:
-        _check_positive_int(budget, "budget")
+        _check_int(budget, "budget")
     _verify_problem(circuit, h, h2)
 
     searches = [
@@ -455,8 +432,8 @@ def discover_spectrum(
     must pass the accidental-zero check before the cluster is reported.
     Coverage is the fraction of exact eigenvalues matched by some cluster.
     """
-    _check_positive_int(n_starts, "n_starts")
-    _check_seed(master_seed, "master_seed")
+    _check_int(n_starts, "n_starts")
+    _check_int(master_seed, "master_seed", minimum=0)
     k = circuit.num_parameters
     initial = np.empty((n_starts, k))
     configs = []

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import _check_int
+
 __all__ = [
     "ModelParams",
     "QuasispinBlock",
@@ -43,8 +45,7 @@ class ModelParams:
     w: float = 0.0
 
     def __post_init__(self):
-        if int(self.n_particles) != self.n_particles or self.n_particles < 1:
-            raise ValueError(f"n_particles must be a positive integer, got {self.n_particles}")
+        _check_int(self.n_particles, "n_particles")
         for name in ("eps", "v", "w"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -34,13 +34,12 @@ quasi-probabilities and parity signs use the same index.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuits import Circuit, Statevector, _single_point, ry_matrix, run
+from .circuits import Circuit, Statevector, _check_int, _single_point, ry_matrix, run
 
 __all__ = [
     "NoiseModel",
@@ -193,23 +192,13 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     """Counts of ``shots`` readouts: one multinomial draw from one outcome
     distribution with ``np.random.default_rng(seed)``; an int or SeedSequence
     seed gives a fixed stream, and a Generator is advanced, not reseeded."""
-    _check_positive_int(shots)
+    _check_int(shots)
     dist = np.asarray(distribution, dtype=float)
     # NaN and +-inf fail the sum; the few entries are checked as Python floats
     entries = dist.tolist()
     if dist.ndim != 1 or not (abs(sum(entries) - 1.0) <= 1e-9 and min(entries) >= 0.0):
         raise ValueError("distribution must be a finite, non-negative vector summing to 1")
     return np.random.default_rng(seed).multinomial(shots, dist)
-
-
-def _check_positive_int(value, name: str = "shots") -> None:
-    """Reject a count (shots, starts, evaluations) that is not a positive
-    integer, bools included.  A plain int skips the slower ABC check."""
-    integral = type(value) is int or (
-        not isinstance(value, bool) and isinstance(value, numbers.Integral)
-    )
-    if not integral or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _checked_counts(counts, num_qubits: int) -> np.ndarray:

@@ -244,7 +244,7 @@ class TestFoldCnots:
                 atol=1e-12,
             )
 
-    @pytest.mark.parametrize("fold", [0, -1, 2, 4])
+    @pytest.mark.parametrize("fold", [0, -1, 2, 4, True, 3.0, 1.5])
     def test_invalid_folds_rejected(self, fold):
         with pytest.raises(ValueError):
             fold_cnots(ansatz_2q(), fold)

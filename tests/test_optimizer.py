@@ -1,3 +1,5 @@
+import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +23,7 @@ from lmgvqe import (
     sweep,
 )
 from lmgvqe.optimizer import (
-    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _evaluate,
-    _initial_simplex, _nelder_mead,
+    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _evaluate, _nelder_mead,
 )
 
 from conftest import N3_A_EIGS, N7_EIGS, eigenstate_parameters_1q
@@ -132,6 +133,52 @@ class TestTerminationReason:
             assert trace.reason in TERMINATION_REASONS
             assert trace.converged == (trace.reason == "converged")
             assert 0 <= trace.restarts <= _MAX_RESTARTS
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _spectrum_digest(report) -> str:
+    clusters = [
+        (c.energy, c.stderr, c.members, c.parameters, c.variance, c.residual)
+        for c in report.clusters
+    ]
+    return _digest((report.traces, clusters, report.coverage))
+
+
+class TestPinnedSearch:
+    """The points every search visits, and why each stops, pinned by the
+    sha256 of their full-precision ``repr``."""
+
+    def test_sampled_restart_cap(self):
+        # 31 rounds, each ended by the 60-evaluation cap or a collapsed
+        # simplex, with the restart step shrinking every round
+        h, h2 = _flat_variance_problem()
+        config = EstimatorConfig(shots=100, seed=3)
+        trace = minimize_variance(h, h2, ansatz_1q(), [0.3], config, budget=10**5)
+        assert (trace.reason, trace.restarts, len(trace.iterations)) == ("restart_cap", 30, 1363)
+        assert _digest(trace) == "811c53cd1e432d8951821a23534918b6b8ee56e4ef8e2aa4cf4c8e69989c45e5"
+
+    def test_exact_n7_a_spectrum_cut_by_budget(self, n7_a):
+        # half the starts stop on the budget, and one converges on its
+        # last budgeted evaluation
+        report = discover_spectrum(n7_a.h, n7_a.h2, ansatz_2q(), 40, EXACT, budget=120)
+        assert Counter(t.reason for t in report.traces) == {"converged": 20, "budget": 20}
+        assert any(t.converged and len(t.iterations) == 120 for t in report.traces)
+        assert _spectrum_digest(report) == (
+            "6f461300471b138b91de158467c07457394f677170854e545c1b1b800bdb9bad"
+        )
+
+    def test_readout_mitigated_n3_b_spectrum(self, n3_b):
+        config = EstimatorConfig(
+            shots=2000, noise=NoiseModel(readout_p01=0.02, readout_p10=0.02),
+            mitigation=Mitigation(readout=True),
+        )
+        report = discover_spectrum(n3_b.h, n3_b.h2, ansatz_1q(), 20, config, master_seed=8)
+        assert _spectrum_digest(report) == (
+            "1c17f416633ecdb7440f96c78871aac41d8bad2764c9458753e19fa61440a3a9"
+        )
 
 
 class TestExactObjective:
@@ -271,7 +318,8 @@ class TestInputRejectedBeforeAnyRecord:
 
 
 def _scipy_points(f, x0, step, xatol, fatol, maxfev):
-    """Points scipy's Nelder-Mead evaluates, in order, from our simplex."""
+    """Points scipy's Nelder-Mead evaluates, in order, from the simplex of x0
+    and x0 plus ``step`` along each axis."""
     from scipy.optimize import minimize
 
     points = []
@@ -280,20 +328,27 @@ def _scipy_points(f, x0, step, xatol, fatol, maxfev):
         points.append(tuple(x.tolist()))
         return f(x)
 
-    options = dict(initial_simplex=_initial_simplex(x0, step), xatol=xatol, fatol=fatol,
-                   maxfev=maxfev, maxiter=10**9)
+    n = len(x0)
+    simplex = np.tile(x0, (n + 1, 1))
+    simplex[np.arange(1, n + 1), np.arange(n)] += step
+    options = dict(initial_simplex=simplex, xatol=xatol, fatol=fatol, maxfev=maxfev,
+                   maxiter=10**9)
     minimize(objective, x0, method="Nelder-Mead", options=options)
     return points
 
 
 def _port_points(f, x0, step, xatol, fatol, maxfev):
+    """Points the uncapped port evaluates, stopped before evaluation
+    ``maxfev + 1`` as scipy's wrapper stops."""
     points = []
-    search = _nelder_mead(x0, step, xatol, fatol, maxfev)
+    search = _nelder_mead(x0, step, xatol, fatol)
     value = None
     while True:
         try:
             x = search.send(value)
         except StopIteration:
+            return points
+        if len(points) == maxfev:
             return points
         points.append(tuple(x.tolist()))
         value = f(x)

@@ -121,8 +121,9 @@ class TestBuildBlocks:
             ModelParams(0)
         with pytest.raises(ValueError):
             ModelParams(3, eps=0.0)
-        with pytest.raises(ValueError):
-            ModelParams(2.5)  # type: ignore[arg-type]
+        for n in (2.5, True, 3.0):
+            with pytest.raises(ValueError, match="n_particles"):
+                ModelParams(n)  # type: ignore[arg-type]
 
 
 class TestSquareBlock:
