@@ -59,6 +59,10 @@ class Gate:
     def __post_init__(self):
         if self.kind not in ("ry", "x", "cnot"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        _check_int(self.target, "target", minimum=0)
+        for name in ("control", "parameter_slot"):
+            if getattr(self, name) is not None:
+                _check_int(getattr(self, name), name, minimum=0)
         if self.kind == "cnot":
             if self.control is None or self.control == self.target:
                 raise ValueError("cnot needs a control qubit distinct from the target")
@@ -79,12 +83,11 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be positive")
+        _check_int(self.num_qubits, "num_qubits")
         slots = set()
         for g in self.gates:
             qubits = [g.target] + ([g.control] if g.control is not None else [])
-            if any(q < 0 or q >= self.num_qubits for q in qubits):
+            if max(qubits) >= self.num_qubits:
                 raise ValueError(f"gate {g} addresses a qubit outside the register")
             if g.parameter_slot is not None:
                 slots.add(g.parameter_slot)

@@ -28,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import HARDWARE_REFERENCE, eigensolve, overlap_table
-from .circuits import ansatz_1q, ansatz_2q
+from .circuits import _check_int, ansatz_1q, ansatz_2q
 from .mitigation import Mitigation, MitigationError
 from .optimizer import (
     EstimatorConfig,
     RunTrace,
-    _matching_cluster,
+    _matches,
     discover_spectrum,
     minimize_variance,
     sweep,
@@ -94,11 +94,6 @@ class ExperimentConfig:
         object.__setattr__(self, "folds", tuple(self.folds))
         if self.fixed is not None:
             object.__setattr__(self, "fixed", tuple(float(x) for x in self.fixed))
-        optional = [x for x in (("shots", self.shots), ("starts", self.starts)) if x[1] is not None]
-        integers = [("n", self.n), ("seed", self.seed), ("steps", self.steps), *optional]
-        for name, value in integers:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("eps", "v", "w", "noise_readout", "noise_cnot"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -107,16 +102,15 @@ class ExperimentConfig:
             raise ConfigError(f"block must be A or B, got {self.block!r}")
         if self.ansatz not in ("auto", "1q", "2q"):
             raise ConfigError(f"ansatz must be auto, 1q or 2q, got {self.ansatz!r}")
-        if self.steps < 1:
-            raise ConfigError("steps must be positive")
-        if self.starts is not None and self.starts < 1:
-            raise ConfigError("starts must be positive")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         unknown = set(self.mitigate) - {"readout", "cnot"}
         if unknown:
             raise ConfigError(f"unknown mitigation scheme(s): {sorted(unknown)}")
         try:
+            _check_int(self.steps, "steps")
+            if self.starts is not None:
+                _check_int(self.starts, "starts")
             model = ModelParams(self.n, self.eps, self.v, self.w)
             noise = NoiseModel(self.noise_readout, self.noise_readout, self.noise_cnot)
             mitigation = Mitigation("readout" in self.mitigate, "cnot" in self.mitigate, self.folds)
@@ -494,8 +488,8 @@ def _spectrum_doc(config: ExperimentConfig, block, report) -> dict:
 def _cluster_rows(config: ExperimentConfig, block, report) -> list[dict]:
     reference = _reference_rows(config, block)
     rows = []
-    for ordinal, exact in enumerate(report.oracle_eigenvalues):
-        match = _matching_cluster(report.clusters, exact)
+    matches = _matches(report.clusters, report.oracle_eigenvalues)
+    for ordinal, (exact, match) in enumerate(zip(report.oracle_eigenvalues, matches)):
         row = {
             "ordinal": ordinal,
             "exact_value": _fmt(exact),

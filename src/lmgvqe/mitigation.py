@@ -92,8 +92,7 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
     Column j holds the frequencies of ``shots`` draws from the outcome
     distribution of basis state j, drawn in order from ``default_rng(seed)``.
     """
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be positive")
+    _check_int(num_qubits, "num_qubits")
     _check_int(shots)
     rng = np.random.default_rng(seed)
     readout = _readout_matrix(noise, num_qubits)

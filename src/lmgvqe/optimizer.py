@@ -24,9 +24,12 @@ is one ``estimate`` seeded by (its start's seed, its evaluation index).  A
 trace's exact final result is one ``estimate``, and each trace records why
 it stopped.
 
-Every candidate eigenvalue is screened with an accidental-zero check: the
-residual ||H psi - <H> psi|| of the noiseless state, the square root of its
-exact variance, which catches variance minima manufactured by sampling noise.
+``discover_spectrum`` runs its seeded starts in one ``minimize_variance``
+call; ``_group`` groups the converged energies, ``_screen`` keeps each group
+whose representative passes an accidental-zero check (the residual
+||H psi - <H> psi|| of the noiseless state, the square root of its exact
+variance, which catches variance minima manufactured by sampling noise), and
+``_matches`` pairs each exact eigenvalue with a cluster.
 """
 
 from __future__ import annotations
@@ -140,14 +143,6 @@ def _threshold(config: EstimatorConfig, variance_stderr: float) -> float:
 def _cluster_radius(stderr: float) -> float:
     """How far an energy may lie from a cluster's center and still belong to it."""
     return max(5.0 * stderr, CLUSTER_RADIUS_FLOOR)
-
-
-def _matching_cluster(clusters, value: float) -> SpectrumCluster | None:
-    """The first cluster within ``_cluster_radius`` of an exact eigenvalue, or None."""
-    for cluster in clusters:
-        if abs(cluster.energy - value) <= _cluster_radius(cluster.stderr):
-            return cluster
-    return None
 
 
 def _nelder_mead(x0: np.ndarray, step: float, xatol: float, fatol: float):
@@ -416,6 +411,57 @@ def accidental_zero_check(
     return residual < tolerance, residual
 
 
+def _group(traces) -> list[list[int]]:
+    """The converged runs' indices in groups, in ascending (energy, index)
+    order: a run joins the last group when its energy lies within
+    ``_cluster_radius`` of the group's mean, the radius set by the largest
+    stderr of the group and the run, and otherwise starts a new group."""
+    groups: list[list[int]] = []
+    for energy, i in sorted((t.final.energy, i) for i, t in enumerate(traces) if t.converged):
+        if groups:
+            last = groups[-1]
+            center = np.mean([traces[m].final.energy for m in last])
+            spread = max(traces[m].final.energy_stderr for m in last + [i])
+            if abs(energy - center) <= _cluster_radius(spread):
+                last.append(i)
+                continue
+        groups.append([i])
+    return groups
+
+
+def _screen(h, circuit, config, traces, groups) -> list[SpectrumCluster]:
+    """One cluster per group whose representative, the member of smallest
+    |variance|, passes the accidental-zero check; the other groups are dropped."""
+    clusters: list[SpectrumCluster] = []
+    for members in groups:
+        rep = traces[min(members, key=lambda m: abs(traces[m].final.variance))]
+        # a state converged to |variance| < T sits within sqrt(T) of an
+        # eigenvector (residual^2 = exact variance), so the screen must be
+        # calibrated to sqrt(threshold); stderr alone underestimates it
+        threshold = _threshold(config, rep.final.variance_stderr)
+        combined_stderr = float(np.hypot(rep.final.energy_stderr, rep.final.variance_stderr))
+        tol = max(3.0 * np.sqrt(threshold), 10.0 * combined_stderr)
+        passed, residual = accidental_zero_check(circuit, rep.final_parameters, h, tolerance=tol)
+        if passed:
+            energies = np.array([traces[m].final.energy for m in members])
+            stderrs = np.array([traces[m].final.energy_stderr for m in members])
+            state = run(circuit, rep.final_parameters).amplitudes
+            clusters.append(SpectrumCluster(
+                float(energies.mean()), float(np.sqrt(np.sum(stderrs**2)) / len(members)),
+                tuple(members), rep.final_parameters, state, rep.final.variance, residual,
+            ))
+    return clusters
+
+
+def _matches(clusters, eigenvalues) -> list[SpectrumCluster | None]:
+    """For each exact eigenvalue, the first cluster within ``_cluster_radius``
+    of it, or None."""
+    return [
+        next((c for c in clusters if abs(c.energy - value) <= _cluster_radius(c.stderr)), None)
+        for value in eigenvalues
+    ]
+
+
 def discover_spectrum(
     h: PauliSum,
     h2: PauliSum,
@@ -427,10 +473,10 @@ def discover_spectrum(
 ) -> SpectrumReport:
     """Run ``n_starts`` seeded minimizations and cluster the found energies.
 
-    Starting parameters are uniform over [-pi, pi]^k.  Converged runs are
-    grouped within ``_cluster_radius`` of each other; each cluster representative
-    must pass the accidental-zero check before the cluster is reported.
-    Coverage is the fraction of exact eigenvalues matched by some cluster.
+    Start i draws its parameters, uniform over [-pi, pi]^k, and a seed that
+    replaces ``config.seed`` from (``master_seed``, i), so ``config.seed`` is
+    ignored.  Coverage is the fraction of exact eigenvalues that ``_matches``
+    pairs with a cluster.
     """
     _check_int(n_starts, "n_starts")
     _check_int(master_seed, "master_seed", minimum=0)
@@ -442,64 +488,8 @@ def discover_spectrum(
         initial[i] = np.random.default_rng(child).uniform(-np.pi, np.pi, size=k)
         configs.append(replace(config, seed=int(child.generate_state(1)[0])))
     traces = minimize_variance(h, h2, circuit, initial, configs, budget=budget)
-
-    converged = sorted(
-        ((t.final.energy, i) for i, t in enumerate(traces) if t.converged),
-        key=lambda pair: (pair[0], pair[1]),
-    )
-    groups: list[list[int]] = []
-    for energy, i in converged:
-        if groups:
-            members = groups[-1]
-            center = np.mean([traces[m].final.energy for m in members])
-            spread = max(
-                [traces[m].final.energy_stderr for m in members]
-                + [traces[i].final.energy_stderr]
-            )
-            if abs(energy - center) <= _cluster_radius(spread):
-                members.append(i)
-                continue
-        groups.append([i])
-
-    clusters: list[SpectrumCluster] = []
-    for members in groups:
-        energies = np.array([traces[m].final.energy for m in members])
-        stderrs = np.array([traces[m].final.energy_stderr for m in members])
-        center = float(energies.mean())
-        center_stderr = float(np.sqrt(np.sum(stderrs**2)) / len(members))
-        rep = min(members, key=lambda m: abs(traces[m].final.variance))
-        rep_trace = traces[rep]
-        # a state converged to |variance| < T sits within sqrt(T) of an
-        # eigenvector (residual^2 = exact variance), so the screen must be
-        # calibrated to sqrt(threshold); stderr alone underestimates it
-        threshold = _threshold(config, rep_trace.final.variance_stderr)
-        combined_stderr = float(np.hypot(
-            rep_trace.final.energy_stderr, rep_trace.final.variance_stderr
-        ))
-        tol = max(3.0 * np.sqrt(threshold), 10.0 * combined_stderr)
-        passed, residual = accidental_zero_check(
-            circuit, rep_trace.final_parameters, h, tolerance=tol
-        )
-        if not passed:
-            continue
-        state = run(circuit, rep_trace.final_parameters).amplitudes
-        clusters.append(SpectrumCluster(
-            energy=center,
-            stderr=center_stderr,
-            members=tuple(members),
-            parameters=rep_trace.final_parameters,
-            state=state,
-            variance=rep_trace.final.variance,
-            residual=residual,
-        ))
-
+    clusters = _screen(h, circuit, config, traces, _group(traces))
     oracle = eigensolve(h.matrix)
-    matched = sum(_matching_cluster(clusters, value) is not None for value in oracle.eigenvalues)
-    coverage = matched / len(oracle.eigenvalues)
-    return SpectrumReport(
-        clusters=clusters,
-        n_starts=n_starts,
-        coverage=coverage,
-        oracle_eigenvalues=oracle.eigenvalues,
-        traces=traces,
-    )
+    matches = _matches(clusters, oracle.eigenvalues)
+    coverage = sum(match is not None for match in matches) / len(matches)
+    return SpectrumReport(clusters, n_starts, coverage, oracle.eigenvalues, traces)

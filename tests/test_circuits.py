@@ -57,6 +57,20 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError):
             Gate("ry", target=0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Circuit(2.0),
+        lambda: Circuit(True),
+        lambda: Circuit(0),
+        lambda: Gate("ry", target=0.0, parameter_slot=0),
+        lambda: Gate("ry", target=0, parameter_slot=0.0),
+        lambda: Gate("cnot", target=0, control=True),
+        lambda: Gate("x", target=-1),
+    ], ids=["float-qubits", "bool-qubits", "zero-qubits", "float-target", "float-slot",
+            "bool-control", "negative-target"])
+    def test_counts_and_indices_must_be_integers(self, build):
+        with pytest.raises(ValueError, match="must be a (positive|non-negative) integer"):
+            build()
+
     def test_qubit_range_checked(self):
         with pytest.raises(ValueError):
             Circuit(1, (Gate("x", target=1),))

@@ -147,6 +147,18 @@ class TestSpectrum:
         assert rc == 3
         assert (tmp_path / "spectrum.json").exists()  # partial results written
 
+    def test_unmatched_eigenvalues_leave_their_rows_blank(self, tmp_path):
+        rc = main([
+            "spectrum", "--n", "7", "--block", "A", "--starts", "1",
+            "--seed", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 3
+        rows = read_csv_rows(tmp_path / "clusters.csv")
+        assert len(rows) == 4
+        for row in rows[:3]:
+            assert row["measured_value"] == row["stderr"] == row["variance"] == ""
+        assert rows[3]["measured_value"] == "5.94409721"
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["spectrum", "--n", "3", "--block", "B", "--starts", "10",
                 "--seed", "33", "--shots", "2000"]
@@ -281,6 +293,9 @@ class TestConfigBuiltOnce:
         {"shots": 10, "noise_cnot": 0.7},
         {"shots": 10, "mitigate": ("cnot",), "folds": (1, 2)},
         {"shots": 10, "mitigate": ("cnot",), "folds": (1, 3, 3)},
+        {"steps": 0},
+        {"steps": 2.5},
+        {"starts": True},
     ])
     def test_invalid_library_value_rejected_at_construction(self, fields):
         with pytest.raises(ConfigError):

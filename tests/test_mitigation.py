@@ -46,6 +46,11 @@ class TestCalibrate:
         noisy = calibrate(1, NoiseModel(0.02, 0.02, 0.4), shots=5000, seed=4)
         np.testing.assert_allclose(quiet.matrix, noisy.matrix)
 
+    @pytest.mark.parametrize("num_qubits", [0, 2.0, True])
+    def test_qubit_count_must_be_a_positive_integer(self, num_qubits):
+        with pytest.raises(ValueError, match="num_qubits must be a positive integer"):
+            calibrate(num_qubits, NoiseModel(), 100)
+
 
 class TestMitigateCounts:
     def test_identity_calibration_is_identity_map(self):

@@ -8,12 +8,14 @@ import pytest
 import lmgvqe.optimizer as optimizer_module
 from lmgvqe import (
     Circuit,
+    EstimationResult,
     EstimatorConfig,
     Gate,
     Mitigation,
     NoiseModel,
     PauliString,
     PauliSum,
+    RunTrace,
     accidental_zero_check,
     ansatz_1q,
     ansatz_2q,
@@ -23,7 +25,7 @@ from lmgvqe import (
     sweep,
 )
 from lmgvqe.optimizer import (
-    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _evaluate, _nelder_mead,
+    _MAX_RESTARTS, TERMINATION_REASONS, IterationRecord, SweepPoint, _evaluate, _group, _nelder_mead,
 )
 
 from conftest import N3_A_EIGS, N7_EIGS, eigenstate_parameters_1q
@@ -539,6 +541,36 @@ class TestAccidentalZeroCheck:
         for theta in (0.0, np.pi):
             passed, _ = accidental_zero_check(ansatz_1q(), [theta], z)
             assert passed
+
+
+def _trace(energy, stderr=0.0, converged=True) -> RunTrace:
+    """A trace with only what grouping reads: converged, energy and its stderr."""
+    final = EstimationResult(energy, stderr, 0.0, 0.0, 0.0, 0.0, (), None)
+    return RunTrace([], converged, final, (), 0, "converged" if converged else "budget", 0)
+
+
+class TestGroup:
+    # stderr 0.125 gives the radius 5 * 0.125 = 0.625, exact in binary
+    def test_run_at_the_radius_joins_and_one_beyond_starts_a_group(self):
+        assert _group([_trace(0.0, 0.125), _trace(0.625)]) == [[0, 1]]
+        assert _group([_trace(0.0, 0.125), _trace(np.nextafter(0.625, 1.0))]) == [[0], [1]]
+
+    def test_spread_is_the_largest_stderr_of_group_and_candidate(self):
+        # the candidate's own stderr sets the radius
+        assert _group([_trace(5.0), _trace(5.625, 0.125)]) == [[0, 1]]
+        # the first member's stderr, though neither the last member nor the
+        # candidate has one; the radius is measured from the mean, 5.3125
+        assert _group([_trace(5.0, 0.125), _trace(5.625), _trace(5.9375)]) == [[0, 1, 2]]
+        assert _group([_trace(5.0), _trace(5.625)]) == [[0], [1]]
+
+    def test_unconverged_runs_are_left_out(self):
+        traces = [_trace(1.0), _trace(1.0, converged=False), _trace(3.0, converged=False)]
+        assert _group(traces) == [[0]]
+        assert _group([_trace(1.0, converged=False)]) == []
+
+    def test_ascending_energy_then_index(self):
+        traces = [_trace(2.0), _trace(-3.0), _trace(2.0), _trace(0.5), _trace(-3.0)]
+        assert _group(traces) == [[1, 4], [3], [0, 2]]
 
 
 class TestDiscoverSpectrum:
