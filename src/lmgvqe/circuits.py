@@ -104,6 +104,11 @@ class Circuit:
         return sum(g.kind == "cnot" for g in self.gates)
 
     @cached_property
+    def _folded(self) -> dict:
+        """``fold_cnots``'s circuits by fold, built on first use."""
+        return {}
+
+    @cached_property
     def _program(self) -> tuple:
         """Per gate ``(perm, sign, slot, angle)``: X and CNOT take the amplitude
         at perm[b] to b (sign None); RY mixes b with its partner perm[b] with
@@ -136,7 +141,8 @@ class Statevector:
         size = amps.shape[-1]
         if size < 2 or size & (size - 1):
             raise ValueError(f"amplitude vector length {size} is not a power of two")
-        norm = (amps.conj() * amps).real.sum(-1)
+        # one state's norm is one BLAS dot, cheaper than the batch's row sums
+        norm = np.vdot(amps, amps).real if amps.ndim == 1 else (amps.conj() * amps).real.sum(-1)
         if not (abs(norm - 1.0) <= NORMALIZATION_TOL).all():  # also rejects NaN
             raise ValueError(f"state not normalized: sum |a|^2 = {norm}")
 
@@ -196,6 +202,10 @@ def run(circuit: Circuit, parameters=()) -> Statevector:
         raise ValueError(f"circuit takes {k} parameters, got shape {params.shape}")
     half = params[..., None] / 2.0  # (..., k, 1): one factor per row and slot
     cos, sin = np.cos(half), np.sin(half)
+    if params.ndim == 1:  # one point: the same factors as Python floats, which apply faster
+        factors = list(zip(cos[:, 0].tolist(), sin[:, 0].tolist()))
+    else:  # each (B, 1)
+        factors = [(cos[:, slot], sin[:, slot]) for slot in range(k)]
     amps = np.zeros(params.shape[:-1] + (2**circuit.num_qubits,), dtype=complex)
     amps[..., 0] = 1.0
     for perm, sign, slot, angle in circuit._program:
@@ -205,7 +215,7 @@ def run(circuit: Circuit, parameters=()) -> Statevector:
         if slot is None:
             c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
         else:
-            c, s = cos[..., slot, :], sin[..., slot, :]
+            c, s = factors[slot]
         # the rows of ry_matrix(theta) with the same products and sums as
         # apply_single_qubit (a real factor multiplies as complex); a matmul
         # or einsum may fuse or reorder them
@@ -240,12 +250,19 @@ def fold_cnots(circuit: Circuit, fold: int) -> Circuit:
     """Replace every CNOT by ``fold`` consecutive copies of itself.
 
     ``fold`` must be odd and positive, so the folded circuit is unitarily
-    identical to the original and only amplifies CNOT gate noise.
+    identical to the original and only amplifies CNOT gate noise.  Fold 1
+    returns ``circuit`` itself; every other fold is built once per circuit
+    and kept on it.
     """
     _check_int(fold, "fold")
     if fold % 2 == 0:
         raise ValueError(f"fold must be an odd positive integer, got {fold!r}")
-    gates = []
-    for gate in circuit.gates:
-        gates.extend([gate] * (fold if gate.kind == "cnot" else 1))
-    return Circuit(circuit.num_qubits, tuple(gates))
+    if fold == 1:
+        return circuit
+    folded = circuit._folded.get(fold)
+    if folded is None:
+        gates = []
+        for gate in circuit.gates:
+            gates.extend([gate] * (fold if gate.kind == "cnot" else 1))
+        folded = circuit._folded[fold] = Circuit(circuit.num_qubits, tuple(gates))
+    return folded

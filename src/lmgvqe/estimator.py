@@ -22,8 +22,10 @@ ideal table the sampled path draws from.
 
 In sampled mode each estimate prepares its state once into one table of
 ideal per-basis distributions; each CNOT fold mixes in its noise and gives
-one outcome distribution per term.  One stream, ``default_rng(seed)``, draws
-the calibration columns, then fold by fold each term's shots.  A term's mean
+one outcome distribution per term.  Only the folded circuit's CNOT count is
+read, and ``fold_cnots`` builds each fold once per circuit.  One stream,
+``default_rng(seed)``, draws the calibration columns, then fold by fold
+each term's shots into one preallocated count array.  A term's mean
 is s . q for its parity signs s (``PauliSum.measured_signs``) and q = A^-1 f,
 the frequencies f corrected by the readout calibration A (A = I without
 one).  As a weighted count w . f with w = A^-T s, its first-order variance is
@@ -38,6 +40,7 @@ every shot on one sign gets at least the Agresti-Coull variance
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +81,9 @@ def _verify_problem(circuit: Circuit, h: PauliSum, h2: PauliSum) -> None:
     that is not the square of ``h``."""
     if h.num_qubits != circuit.num_qubits or h2.num_qubits != circuit.num_qubits:
         raise ValueError("Hamiltonian and circuit qubit counts differ")
-    square = h.matrix @ h.matrix
+    square, scale = h._square
     error = np.abs(h2.matrix - square).max()
-    if not error <= SQUARE_CHECK_TOL * max(1.0, np.abs(square).max()):  # also rejects NaN
+    if not error <= SQUARE_CHECK_TOL * max(1.0, scale):  # also rejects NaN
         raise ValueError(f"h2 is not the square of h: dense matrices differ by {error:.3g}")
 
 
@@ -142,7 +145,7 @@ def expectation_from_counts(
 ) -> tuple[float, float]:
     """Estimate <term> and its standard error from one count vector, with
     readout mitigation when a calibration is given."""
-    counts = _checked_counts(counts, term.num_qubits)
+    counts, _ = _checked_counts(counts, term.num_qubits)
     if counts.ndim != 1:
         raise ValueError(f"expected one count vector, got shape {counts.shape}")
     if term.is_identity:
@@ -154,7 +157,7 @@ def expectation_from_counts(
 def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.ndarray):
     if not len(betas):
         return const, 0.0
-    return const + float(betas @ means), float(np.sqrt(np.sum(betas**2 * stderrs**2)))
+    return const + float(betas @ means), math.sqrt((betas**2 * stderrs**2).sum())
 
 
 def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, mitigation, seed):
@@ -171,10 +174,10 @@ def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, m
     # table serve every fold; the folded circuit only gives its CNOT count
     table, index = _basis_table(run(circuit, parameters), all_strings)
     counts = np.empty((len(folds), *signs.shape), dtype=np.int64)
-    for fold_counts, fold in zip(counts, folds):
+    for f, fold in enumerate(folds):
         rows = _noisy_rows(table, index, fold_cnots(circuit, fold).num_cnots, noise)
-        for term_counts, row in zip(fold_counts, rows):
-            term_counts[...] = measure_term(row, shots, rng)
+        for t, row in enumerate(rows):
+            counts[f, t] = measure_term(row, shots, rng)
     means, stderrs = _term_estimates(counts, signs, cal)  # each (folds, terms)
     if len(folds) > 1:
         return cnot_extrapolate(zip(folds, means, stderrs))
@@ -229,7 +232,7 @@ def estimate(
         h_squared=h_sq,
         h_squared_stderr=h_sq_stderr,
         variance=variance,
-        variance_stderr=float(np.sqrt(h_sq_stderr**2 + 4.0 * energy**2 * energy_stderr**2)),
+        variance_stderr=math.sqrt(h_sq_stderr**2 + 4.0 * energy**2 * energy_stderr**2),
         per_term=tuple(per_term),
         shots=shots,
     )

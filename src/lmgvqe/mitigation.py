@@ -74,6 +74,9 @@ class ConfusionMatrix:
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("confusion matrix must be square")
+        side = mat.shape[0]
+        if side < 2 or side & (side - 1):
+            raise ValueError(f"confusion matrix side {side} is not 2^n for n >= 1 qubits")
         # NaN fails every bound below
         if not (mat.min() >= -1e-12 and mat.max() <= 1.0 + 1e-12):
             raise ValueError("confusion matrix entries must lie in [0, 1]")
@@ -83,7 +86,7 @@ class ConfusionMatrix:
 
     @property
     def num_qubits(self) -> int:
-        return int(round(np.log2(self.matrix.shape[0])))
+        return self.matrix.shape[0].bit_length() - 1
 
 
 def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> ConfusionMatrix:
@@ -96,9 +99,9 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
     _check_int(shots)
     rng = np.random.default_rng(seed)
     readout = _readout_matrix(noise, num_qubits)
-    matrix = np.zeros_like(readout)
-    for j in range(2**num_qubits):
-        matrix[:, j] = measure_term(readout[:, j], shots, rng) / shots
+    columns = [measure_term(readout[:, j], shots, rng) for j in range(2**num_qubits)]
+    # C order, like the readout matrix, so every product with it keeps its BLAS call
+    matrix = np.divide(np.array(columns).T, shots, order="C")
     return ConfusionMatrix(matrix=matrix, shots_per_column=shots)
 
 
@@ -109,8 +112,8 @@ def mitigate_counts(counts, cal: ConfusionMatrix) -> np.ndarray:
     negative, and they are kept that way because clipping would bias the
     expectation values computed from it.  The entries always sum to 1.
     """
-    counts = _checked_counts(counts, cal.num_qubits)
-    freq = counts / counts.sum(axis=-1, keepdims=True)
+    counts, totals = _checked_counts(counts, cal.num_qubits)
+    freq = counts / totals[..., None]
     try:
         return np.linalg.solve(cal.matrix, freq[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -142,10 +145,13 @@ def cnot_extrapolate(values):
     # then round as the scalar calls do
     y = np.array([v for _, v, _ in values], dtype=float).reshape(len(values), -1).T.copy()
     s = np.array([e for _, _, e in values], dtype=float).reshape(len(values), -1).T.copy()
-    if not (s >= 0.0).all():  # NaN fails too
-        raise ValueError("stderrs must be non-negative")
-    positive = (s > 0).all(axis=1, keepdims=True)  # else unweighted; no 1/0 is formed
-    weights = np.where(positive, 1.0 / np.where(positive, s, 1.0) ** 2, 1.0)
+    if s.min(initial=np.inf) > 0.0:  # NaN fails; these are the weights the general rule gives
+        weights = 1.0 / s**2
+    else:
+        if not (s >= 0.0).all():  # NaN fails too
+            raise ValueError("stderrs must be non-negative")
+        positive = (s > 0).all(axis=1, keepdims=True)  # else unweighted; no 1/0 is formed
+        weights = np.where(positive, 1.0 / np.where(positive, s, 1.0) ** 2, 1.0)
     design = np.array([(1.0, f) for f in folds], dtype=float)
     wd = design * weights[:, :, None]
     coeff_map = np.linalg.solve(design.T @ wd, wd.transpose(0, 2, 1))  # beta = coeff_map @ y

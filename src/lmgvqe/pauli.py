@@ -21,6 +21,8 @@ from itertools import product
 
 import numpy as np
 
+from .circuits import _check_int
+
 __all__ = [
     "PAULI_LABELS",
     "PauliString",
@@ -92,8 +94,8 @@ class PauliString:
     def from_text(cls, text: str, num_qubits: int | None = None) -> "PauliString":
         """Parse a subscripted form such as "Z0X1" or "I"."""
         text = text.strip()
-        if num_qubits is not None and num_qubits < 1:
-            raise ValueError("num_qubits must be positive")
+        if num_qubits is not None:
+            _check_int(num_qubits, "num_qubits")
         if text == "I":
             return cls(("I",) * (num_qubits or 1))
         pairs = re.findall(r"([IXYZ])(\d+)", text)
@@ -193,6 +195,14 @@ class PauliSum:
             out += coeff * string_matrix(string)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def _square(self) -> tuple[np.ndarray, float]:
+        """Dense matrix of the sum's square, read-only, and its largest entry
+        magnitude: the reference of the estimator's square check."""
+        square = self.matrix @ self.matrix
+        square.setflags(write=False)
+        return square, float(np.abs(square).max())
 
     @cached_property
     def measured_arrays(self):

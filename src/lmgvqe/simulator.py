@@ -9,8 +9,11 @@ every term's measurement circuit as one table, in two halves:
 giving a table of ideal distributions, and ``_noisy_rows`` mixes in the
 noise of a CNOT count and the readout, then gathers one row per term.  The
 estimator prepares the state once per estimate and runs the first half once,
-the second once per CNOT fold.  ``measure_term`` samples one row with a
-single multinomial draw; every draw of an estimate comes from one Generator.
+the second once per CNOT fold.  With no CNOT noise to mix in (survival 1)
+the second half reuses the table itself, and the readout matrix maps each
+basis row by its own matrix-vector product, stacked into one call.
+``measure_term`` samples one row with a single multinomial draw; every draw
+of an estimate comes from one Generator.
 
 The rotations are compiled once per term tuple (``_basis_program``), as
 ``Circuit._program`` compiles a circuit: step k applies every basis's k-th
@@ -167,11 +170,13 @@ def _noisy_rows(table: np.ndarray, index: np.ndarray, num_cnots: int, noise: Noi
     n = table.shape[1].bit_length() - 1
     if survival < 1.0 and n > 2:
         raise ValueError(f"CNOT noise is only modelled on registers of at most 2 qubits, got {n}")
-    mixed = survival * table + (1.0 - survival) / table.shape[1]  # table itself at survival 1
+    # at survival 1 the mix is the table itself: its entries are >= 0, so
+    # 1 * p + 0 gives p bit for bit
+    mixed = table if survival == 1.0 else survival * table + (1.0 - survival) / table.shape[1]
     if noise.has_readout_error:
-        readout = _readout_matrix(noise, n)
-        # one vector at a time: a batched product may round differently
-        mixed = np.array([readout @ p for p in mixed]).reshape(table.shape)
+        # a stack of matrix-vector products, each the gemv of ``readout @ p``;
+        # one matrix-matrix product may round differently
+        mixed = (_readout_matrix(noise, n) @ mixed[:, :, None])[:, :, 0]
     return mixed[index]
 
 
@@ -201,15 +206,16 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, dist)
 
 
-def _checked_counts(counts, num_qubits: int) -> np.ndarray:
+def _checked_counts(counts, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer counts (bools rejected) of shape (..., 2^n) with no negative
-    entry and no empty row."""
+    entry and no empty row, and their row totals."""
     counts = np.asarray(counts)
     if counts.dtype.kind not in "iu":
         raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
     if counts.shape[-1:] != (2**num_qubits,):
         raise ValueError(f"counts of shape {counts.shape} do not cover {num_qubits} qubits")
+    totals = counts.sum(axis=-1)
     # with no negative entry, a row total is positive unless the row is all zero
-    if counts.min(initial=0) < 0 or not counts.sum(axis=-1).all():
+    if counts.min(initial=0) < 0 or not totals.all():
         raise ValueError("counts must be non-negative with a positive total")
-    return counts
+    return counts, totals

@@ -266,3 +266,27 @@ class TestFoldCnots:
     def test_non_cnot_gates_untouched(self):
         folded = fold_cnots(ansatz_1q(), 5)
         assert folded == ansatz_1q()
+
+    def test_fold_one_returns_the_circuit_itself(self):
+        circuit = ansatz_2q()
+        assert fold_cnots(circuit, 1) is circuit
+
+    @pytest.mark.parametrize("fold", [3, 5])
+    def test_repeated_folds_equal_a_fresh_fold(self, fold):
+        # each fold is built once per circuit; a repeat, an equal circuit
+        # and a numpy integer fold all give the same gates
+        circuit = ansatz_2q()
+        first = fold_cnots(circuit, fold)
+        assert fold_cnots(circuit, fold) is first
+        assert fold_cnots(circuit, np.int64(fold)) is first
+        assert fold_cnots(ansatz_2q(), fold) == first
+        assert first.num_cnots == fold * circuit.num_cnots
+        # the kept folds are not part of the circuit's value
+        assert circuit == ansatz_2q() and hash(circuit) == hash(ansatz_2q())
+
+    @pytest.mark.parametrize("fold", [3.0, True, 2, 0])
+    def test_invalid_fold_rejected_after_a_cached_fold(self, fold):
+        circuit = ansatz_2q()
+        fold_cnots(circuit, 3)
+        with pytest.raises(ValueError, match="fold"):
+            fold_cnots(circuit, fold)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 from collections import Counter
 from fractions import Fraction
@@ -591,3 +592,48 @@ class TestOneStreamPerEstimate:
         replay = np.random.default_rng(self.SEED)
         assert np.array_equal(first, replay.multinomial(1000, distribution))
         assert np.array_equal(second, replay.multinomial(1000, distribution))
+
+
+class TestSeededEstimateDigest:
+    """The sha256 of the full-precision ``repr`` of 16 seeded sampled
+    estimates per block and setting (8 points, 1000 and 20k shots), each
+    digest computed before the per-estimate glue was cut.  Every draw,
+    readout correction and extrapolation must stay bit for bit; a change
+    that alters a seeded sample stream must update these and say so."""
+
+    CONFIGS = {
+        "readout": (DEFAULT_SYNTHETIC_NOISE, Mitigation(readout=True)),
+        "readout_cnot13": (DEFAULT_SYNTHETIC_NOISE, Mitigation(readout=True, cnot=True)),
+        "cnot135": (NoiseModel(cnot_depolarizing=0.02), Mitigation(cnot=True, folds=(1, 3, 5))),
+        "unmitigated": (DEFAULT_SYNTHETIC_NOISE, Mitigation()),
+        "noiseless": (NoiseModel(), Mitigation()),
+    }
+    DIGESTS = {
+        ("n3_a", "readout"): "64e89bddb4c88ab14d5f1552d2450fc46bfe7985ca21597b4df35ac7bc616eb5",
+        ("n3_a", "readout_cnot13"): "bae25549df7a1e76f9b6a5f003533c35e8d2d440367941b6946f2e3420f7220d",
+        ("n3_a", "cnot135"): "bb26ff690068a7339ebbf826857b8a5c821f7d8af4724a411bb1e024e46765da",
+        ("n3_a", "unmitigated"): "e791de5000af28301bca3a00b6b2141ae328783988122255e29e601223a9a561",
+        ("n3_a", "noiseless"): "c85add33b02e9ba2f3dcbec69cdec215e037d459d49e44d27fd71bef6f951488",
+        ("n7_a", "readout"): "e3d86e5f38a609dd8d9bae4267e2b3799136e1378ecf0c98566de4c2417c1442",
+        ("n7_a", "readout_cnot13"): "a1f1ae41bcc5f66dcc41c343a442cb31c87c461754b1470fbc8fbf3545614d75",
+        ("n7_a", "cnot135"): "67335127cca13ac025859883a7aa5f72430a173a4fefe2374c979517a7cbc68e",
+        ("n7_a", "unmitigated"): "03d0e04918f8f61feadc973478ab2825e67a471a123f3d8a0c5b5b3ca57fd341",
+        ("n7_a", "noiseless"): "cb1a94af175e4cd406420e360b92bce26875bfdbf2d7f903e3bd8b7bbec9f51f",
+    }
+
+    @staticmethod
+    def digest(setup, noise, mitigation) -> str:
+        points = np.random.default_rng(41).uniform(-np.pi, np.pi, (8, setup.circuit.num_parameters))
+        sha = hashlib.sha256()
+        for seed, params in enumerate(points):
+            for shots in (1000, 20_000):
+                result = estimate(setup.circuit, tuple(params.tolist()), setup.h, setup.h2,
+                                  shots=shots, noise=noise, mitigation=mitigation, seed=seed)
+                sha.update(repr(result).encode())
+        return sha.hexdigest()
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("block", ["n3_a", "n7_a"])
+    def test_digest_pinned(self, request, block, config):
+        setup = request.getfixturevalue(block)
+        assert self.digest(setup, *self.CONFIGS[config]) == self.DIGESTS[block, config]

@@ -164,6 +164,19 @@ class TestConfusionMatrixValidation:
             ConfusionMatrix(np.array(matrix), shots_per_column=shots)
 
 
+    @pytest.mark.parametrize("side", [1, 3, 6])
+    def test_side_must_be_a_power_of_two(self, side):
+        # a 1x1 matrix would mitigate any count vector to [1.]; a 3x3 one
+        # would be taken for 2 qubits and refuse every 3-entry count vector
+        with pytest.raises(ValueError, match="not 2\\^n"):
+            ConfusionMatrix(np.eye(side), shots_per_column=100)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_qubit_count_is_the_side_exponent(self, num_qubits):
+        cal = ConfusionMatrix(np.eye(2**num_qubits), shots_per_column=100)
+        assert cal.num_qubits == num_qubits and type(cal.num_qubits) is int
+
+
 class TestCnotExtrapolate:
     def test_two_point_formula(self):
         estimate, stderr = cnot_extrapolate([(1, 1.0, 0.0), (3, 0.8, 0.0)])

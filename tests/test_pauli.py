@@ -204,6 +204,12 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             PauliString.from_text("X0X0")
 
+    @pytest.mark.parametrize("num_qubits", [True, 2.0, 0, -1])
+    def test_qubit_count_must_be_a_positive_integer(self, num_qubits):
+        for text in ("I", "Z0"):
+            with pytest.raises(ValueError, match="num_qubits must be a positive integer"):
+                PauliString.from_text(text, num_qubits)
+
     def test_sum_round_trip(self, n7_a):
         text = n7_a.h.to_text(digits=17)
         again = PauliSum.from_text(text, num_qubits=2)

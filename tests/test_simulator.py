@@ -368,6 +368,27 @@ class TestOutcomeTable:
             assert table.tobytes() == expected.tobytes()
             assert index.tolist() == expected_index
 
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(), NoiseModel(0.03, 0.07), NoiseModel(0.03, 0.07, 0.2),
+    ], ids=["noiseless", "readout", "readout_cnot"])
+    @pytest.mark.parametrize("num_cnots", [0, 2, 6])
+    def test_rows_equal_the_mixed_formula(self, noise, num_cnots):
+        # survival 1 (no CNOT or no CNOT noise) skips the mix, and readout
+        # maps each basis row on its own; both give the formula's bits
+        rng = np.random.default_rng(400 + num_cnots)
+        readout = _readout_matrix(noise, 2)
+        for trial in range(50):
+            table = rng.random((5, 4))
+            table[rng.random((5, 4)) < 0.2] = 0.0
+            table[:, 0] += 1e-3
+            table /= table.sum(axis=1, keepdims=True)
+            index = rng.integers(0, 5, 15)
+            survival = (1.0 - 16.0 * noise.cnot_depolarizing / 15.0) ** num_cnots
+            mixed = survival * table + (1.0 - survival) / 4
+            expected = np.array([readout @ p for p in mixed])[index]
+            rows = _noisy_rows(table, index, num_cnots, noise)
+            assert rows.tobytes() == expected.tobytes()
+
     def test_readout_matrix_built_once_and_read_only(self):
         noise = NoiseModel(0.02, 0.05)
         matrix = _readout_matrix(noise, 2)
