@@ -79,7 +79,7 @@ def fidelity(psi, phi) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     for vec in (a, b):
         norm = float(np.sum(np.abs(vec) ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"state not normalized: sum |a|^2 = {norm}")
     return float(np.abs(np.vdot(a, b)) ** 2)
 

@@ -7,11 +7,15 @@ Commands:
     spectrum    multistart eigenvalue discovery (JSON report + CSV tables)
     overlaps    fidelity matrix of discovered states vs exact eigenvectors
 
-Exit codes: 0 success, 2 invalid configuration or a singular readout
-calibration, 3 spectrum coverage below 100% (partial results are still
-written).  All numeric output is printed at 9 significant digits and every
-artifact carries a format_version field, so identical configurations and
-seeds reproduce files byte for byte.
+Each command returns its stdout text, a one-line summary and its artifacts;
+``main`` alone prints the text or, with ``--out``, creates the directory,
+writes the artifacts and prints the summary.  A failed command writes nothing.
+
+Exit codes: 0 success, 2 invalid configuration, a singular readout
+calibration or an unwritable ``--out``, 3 spectrum coverage below 100%
+(partial results are still written).  All numeric output is printed at 9
+significant digits and every artifact carries a format_version field, so
+identical configurations and seeds reproduce files byte for byte.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import io
 import json
 import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -283,32 +288,31 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(_round_floats(doc), indent=2) + "\n"
 
 
-def _write_table(rows: list[dict], path_base: Path | None, name: str,
-                 config: ExperimentConfig) -> str:
-    """Render rows as CSV (with a format_version comment) or a JSON list."""
+def _table(name: str, rows: list[dict], config: ExperimentConfig) -> tuple[str, str]:
+    """The artifact ``(filename, text)`` of rows as CSV (with a format_version
+    comment) or a JSON list."""
     if config.format == "json":
-        text = _dump_json({"format_version": FORMAT_VERSION, "rows": rows})
-        suffix = ".json"
-    else:
-        buffer = io.StringIO()
-        buffer.write(f"# format_version={FORMAT_VERSION}\n")
-        if rows:
-            writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        text = buffer.getvalue()
-        suffix = ".csv"
-    if path_base is not None:
-        (path_base / f"{name}{suffix}").write_text(text)
-    return text
+        return f"{name}.json", _dump_json({"format_version": FORMAT_VERSION, "rows": rows})
+    buffer = io.StringIO()
+    buffer.write(f"# format_version={FORMAT_VERSION}\n")
+    if rows:
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return f"{name}.csv", buffer.getvalue()
 
 
-def _out_dir(config: ExperimentConfig) -> Path | None:
-    if config.out is None:
-        return None
-    path = Path(config.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+@dataclass(frozen=True)
+class CommandOutput:
+    """What a command produced.  ``main`` prints ``stdout`` when there is no
+    ``--out``; otherwise it writes ``artifacts``, lazy ``(filename, text)``
+    pairs, into the directory and prints ``summary`` with the directory in
+    place of ``{out}``."""
+
+    stdout: str
+    summary: str
+    artifacts: Iterable[tuple[str, str]]
+    code: int = 0
 
 
 def _matrix_lines(matrix: np.ndarray) -> str:
@@ -329,44 +333,13 @@ def _run_summary(trace: RunTrace) -> dict:
     }
 
 
-def _trace_doc(trace: RunTrace, config: ExperimentConfig, block: QuasispinBlock) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "command": "minimize",
-        "config": config.experiment_dict(),
-        "block": block.parity,
-        **_run_summary(trace),
-        "variance_stderr": trace.final.variance_stderr,
-        "final_parameters": list(trace.final_parameters),
-        "iterations": [asdict(rec) for rec in trace.iterations],
-    }
-
-
 def _trace_rows(trace: RunTrace) -> list[dict]:
-    rows = []
-    for step, rec in enumerate(trace.iterations):
-        row = {"iteration": step}
-        for j, value in enumerate(rec.parameters):
-            row[f"parameter{j}"] = _fmt(value)
-        row.update(
-            energy=_fmt(rec.energy), variance=_fmt(rec.variance),
-            energy_stderr=_fmt(rec.energy_stderr),
-            variance_stderr=_fmt(rec.variance_stderr),
-        )
-        rows.append(row)
-    return rows
-
-
-def _reference_rows(config: ExperimentConfig, block: QuasispinBlock):
-    """Published hardware numbers for this model, or None; annotations only."""
-    standard = (
-        np.isclose(config.eps, 1.0)
-        and np.isclose(config.v / config.eps, 0.5)
-        and np.isclose(config.w, 0.0)
-    )
-    if not standard:
-        return None
-    return HARDWARE_REFERENCE.get((config.n, block.parity))
+    return [
+        {"iteration": step, **{f"parameter{j}": _fmt(x) for j, x in enumerate(rec.parameters)},
+         "energy": _fmt(rec.energy), "variance": _fmt(rec.variance),
+         "energy_stderr": _fmt(rec.energy_stderr), "variance_stderr": _fmt(rec.variance_stderr)}
+        for step, rec in enumerate(trace.iterations)
+    ]
 
 
 # ----------------------------------------------------------------- commands
@@ -377,29 +350,20 @@ def _pauli_text(matrix: np.ndarray) -> str:
     return decompose(matrix).to_text()
 
 
-def cmd_decompose(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_decompose(config: ExperimentConfig) -> CommandOutput:
+    text, artifacts = "", []
     for block in _selected_blocks(config, default_both=True):
         square = square_block(block)
-        h_text, h2_text = _pauli_text(block.matrix), _pauli_text(square)
-        print(f"# N={config.n} block {block.parity}: H matrix")
-        print(_matrix_lines(block.matrix), end="")
-        print(f"# N={config.n} block {block.parity}: H Pauli form")
-        print(h_text)
-        print(f"# N={config.n} block {block.parity}: H^2 matrix")
-        print(_matrix_lines(square), end="")
-        print(f"# N={config.n} block {block.parity}: H^2 Pauli form")
-        print(h2_text)
-        if out is not None:
-            (out / f"h_pauli_{block.parity}.txt").write_text(h_text + "\n")
-            (out / f"h2_pauli_{block.parity}.txt").write_text(h2_text + "\n")
-            (out / f"h_matrix_{block.parity}.txt").write_text(_matrix_lines(block.matrix))
-            (out / f"h2_matrix_{block.parity}.txt").write_text(_matrix_lines(square))
-    return 0
+        for name, label, matrix in (("h", "H", block.matrix), ("h2", "H^2", square)):
+            matrix_text, pauli_text = _matrix_lines(matrix), _pauli_text(matrix) + "\n"
+            text += f"# N={config.n} block {block.parity}: {label} matrix\n{matrix_text}"
+            text += f"# N={config.n} block {block.parity}: {label} Pauli form\n{pauli_text}"
+            artifacts += [(f"{name}_matrix_{block.parity}.txt", matrix_text),
+                          (f"{name}_pauli_{block.parity}.txt", pauli_text)]
+    return CommandOutput(text, text, artifacts)
 
 
-def cmd_sweep(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_sweep(config: ExperimentConfig) -> CommandOutput:
     grid = np.linspace(-np.pi, np.pi, config.steps)
     rows = []
     for block in _selected_blocks(config, default_both=True):
@@ -412,41 +376,35 @@ def cmd_sweep(config: ExperimentConfig) -> int:
             h, h2, circuit, parameter_index=0, grid=grid,
             config=config.estimator, fixed_parameters=config.fixed,
         )
-        for point in points:
-            rows.append({
-                "block": block.parity,
-                "angle": _fmt(point.angle),
-                "energy": _fmt(point.energy),
-                "variance": _fmt(point.variance),
-                "energy_stderr": _fmt(point.energy_stderr),
-                "variance_stderr": _fmt(point.variance_stderr),
-            })
-    text = _write_table(rows, out, "sweep", config)
-    if out is None:
-        print(text, end="")
-    else:
-        print(f"wrote {len(rows)} sweep rows to {out}")
-    return 0
+        # the columns after the block are the SweepPoint fields, in order
+        rows += [{"block": block.parity, **{k: _fmt(v) for k, v in asdict(point).items()}}
+                 for point in points]
+    table = _table("sweep", rows, config)
+    return CommandOutput(table[1], f"wrote {len(rows)} sweep rows to {{out}}\n", [table])
 
 
-def cmd_minimize(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_minimize(config: ExperimentConfig) -> CommandOutput:
     block = _selected_blocks(config, default_both=False)[0]
     circuit, h, h2 = _problem(config, block)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     initial = rng.uniform(-np.pi, np.pi, size=circuit.num_parameters)
     trace = minimize_variance(h, h2, circuit, initial, config.estimator)
-    doc = _trace_doc(trace, config, block)
-    if out is not None:
-        (out / "minimize.json").write_text(_dump_json(doc))
-        print(
-            f"block {block.parity}: energy {_fmt(trace.final.energy)}"
-            f" variance {_fmt(trace.final.variance)}"
-            f" converged {trace.converged} ({len(trace.iterations)} evaluations)"
-        )
-    else:
-        print(_dump_json(doc), end="")
-    return 0
+    text = _dump_json({
+        "format_version": FORMAT_VERSION,
+        "command": "minimize",
+        "config": config.experiment_dict(),
+        "block": block.parity,
+        **_run_summary(trace),
+        "variance_stderr": trace.final.variance_stderr,
+        "final_parameters": list(trace.final_parameters),
+        "iterations": [asdict(rec) for rec in trace.iterations],
+    })
+    summary = (
+        f"block {block.parity}: energy {_fmt(trace.final.energy)}"
+        f" variance {_fmt(trace.final.variance)}"
+        f" converged {trace.converged} ({len(trace.iterations)} evaluations)\n"
+    )
+    return CommandOutput(text, summary, [("minimize.json", text)])
 
 
 def _spectrum_report(config: ExperimentConfig):
@@ -456,11 +414,12 @@ def _spectrum_report(config: ExperimentConfig):
     report = discover_spectrum(
         h, h2, circuit, starts, config.estimator, master_seed=config.seed
     )
-    return block, report
+    return block, report, 0 if report.coverage >= 1.0 else 3
 
 
-def _spectrum_doc(config: ExperimentConfig, block, report) -> dict:
-    return {
+def _spectrum_json(config: ExperimentConfig, block, report) -> str:
+    """The text of ``spectrum.json``, which ``spectrum`` and ``overlaps`` both write."""
+    return _dump_json({
         "format_version": FORMAT_VERSION,
         "command": "spectrum",
         "config": config.experiment_dict(),
@@ -482,11 +441,13 @@ def _spectrum_doc(config: ExperimentConfig, block, report) -> dict:
             for c in report.clusters
         ],
         "runs": [{"seed": t.seed, **_run_summary(t)} for t in report.traces],
-    }
+    })
 
 
 def _cluster_rows(config: ExperimentConfig, block, report) -> list[dict]:
-    reference = _reference_rows(config, block)
+    # published hardware numbers exist for the standard model only; annotations only
+    standard = np.isclose([config.eps, config.v / config.eps, config.w], [1.0, 0.5, 0.0]).all()
+    reference = HARDWARE_REFERENCE.get((config.n, block.parity)) if standard else None
     rows = []
     matches = _matches(report.clusters, report.oracle_eigenvalues)
     for ordinal, (exact, match) in enumerate(zip(report.oracle_eigenvalues, matches)):
@@ -506,43 +467,41 @@ def _cluster_rows(config: ExperimentConfig, block, report) -> list[dict]:
     return rows
 
 
-def cmd_spectrum(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
-    block, report = _spectrum_report(config)
-    doc = _spectrum_doc(config, block, report)
-    rows = _cluster_rows(config, block, report)
-    if out is not None:
-        (out / "spectrum.json").write_text(_dump_json(doc))
-        _write_table(rows, out, "clusters", config)
+def cmd_spectrum(config: ExperimentConfig) -> CommandOutput:
+    block, report, code = _spectrum_report(config)
+    text = _spectrum_json(config, block, report)
+
+    def artifacts():
+        yield "spectrum.json", text
+        yield _table("clusters", _cluster_rows(config, block, report), config)
         for i, trace in enumerate(report.traces):
-            _write_table(_trace_rows(trace), out, f"trace_{i:03d}", config)
-        print(
-            f"block {block.parity}: {len(report.clusters)} cluster(s),"
-            f" coverage {_fmt(report.coverage)}"
-        )
-    else:
-        print(_dump_json(doc), end="")
-    return 0 if report.coverage >= 1.0 else 3
+            yield _table(f"trace_{i:03d}", _trace_rows(trace), config)
+
+    summary = (
+        f"block {block.parity}: {len(report.clusters)} cluster(s),"
+        f" coverage {_fmt(report.coverage)}\n"
+    )
+    return CommandOutput(text, summary, artifacts(), code)
 
 
-def cmd_overlaps(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
-    block, report = _spectrum_report(config)
+def cmd_overlaps(config: ExperimentConfig) -> CommandOutput:
+    block, report, code = _spectrum_report(config)
     decomposition = eigensolve(block.matrix)
-    table = overlap_table(report, decomposition)
+    fidelities = overlap_table(report, decomposition)
     rows = []
-    for cluster, fids in zip(report.clusters, table):
+    for cluster, fids in zip(report.clusters, fidelities):
         row = {"measured_energy": _fmt(cluster.energy)}
         for value, fid in zip(decomposition.eigenvalues, fids):
             row[f"overlap_with_{_fmt(value)}"] = _fmt(fid)
         rows.append(row)
-    text = _write_table(rows, out, "overlaps", config)
-    if out is not None:
-        (out / "spectrum.json").write_text(_dump_json(_spectrum_doc(config, block, report)))
-        print(f"wrote overlap matrix ({table.shape[0]}x{table.shape[1]}) to {out}")
-    else:
-        print(text, end="")
-    return 0 if report.coverage >= 1.0 else 3
+    table = _table("overlaps", rows, config)
+
+    def artifacts():
+        yield table
+        yield "spectrum.json", _spectrum_json(config, block, report)
+
+    summary = f"wrote overlap matrix ({fidelities.shape[0]}x{fidelities.shape[1]}) to {{out}}\n"
+    return CommandOutput(table[1], summary, artifacts(), code)
 
 
 _COMMANDS = {
@@ -555,14 +514,28 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command: print its stdout text, or with ``--out`` write its
+    artifacts and print its summary.  The one place the CLI writes output."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        return _COMMANDS[args.command](config)
+        result = _COMMANDS[args.command](config)
+        text = result.stdout
+        if config.out is not None:
+            out = Path(config.out)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+                for name, artifact in result.artifacts:
+                    (out / name).write_text(artifact)
+            except OSError as exc:
+                raise ConfigError(f"cannot write artifacts to {out}: {exc}") from exc
+            text = result.summary.replace("{out}", str(out))
     except (ValueError, MitigationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text, end="")
+    return result.code
 
 
 def cli() -> None:

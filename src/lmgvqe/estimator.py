@@ -54,6 +54,7 @@ from .simulator import (
     _basis_table,
     _checked_counts,
     _noisy_rows,
+    _rng,
     measure_term,
 )
 
@@ -163,7 +164,7 @@ def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.nda
 def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, mitigation, seed):
     """Means and standard errors of every measured term from one seeded
     stream, readout-corrected and CNOT-extrapolated as ``mitigation`` asks."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     folds = mitigation.folds if mitigation.cnot else (1,)
     cal = None
     if mitigation.readout:

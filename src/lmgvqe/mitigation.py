@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import _check_int
-from .simulator import NoiseModel, _checked_counts, _readout_matrix, measure_term
+from .simulator import NoiseModel, _checked_counts, _readout_matrix, _rng, measure_term
 
 __all__ = [
     "Mitigation",
@@ -97,7 +97,7 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
     """
     _check_int(num_qubits, "num_qubits")
     _check_int(shots)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     readout = _readout_matrix(noise, num_qubits)
     columns = [measure_term(readout[:, j], shots, rng) for j in range(2**num_qubits)]
     # C order, like the readout matrix, so every product with it keeps its BLAS call

@@ -368,7 +368,8 @@ def sweep(
     one parameter need ``fixed_parameters`` supplying the other slots.
     """
     k = circuit.num_parameters
-    if not 0 <= parameter_index < k:
+    _check_int(parameter_index, "parameter_index", minimum=0)
+    if parameter_index >= k:
         raise ValueError(f"parameter_index {parameter_index} out of range for {k} slots")
     if grid is None:
         grid = np.linspace(-np.pi, np.pi, 50)
@@ -405,6 +406,8 @@ def accidental_zero_check(
     """
     if h.num_qubits != circuit.num_qubits:
         raise ValueError("Hamiltonian and circuit qubit counts differ")
+    if not tolerance > 0:  # NaN fails too
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     point = _single_point(circuit, parameters)
     _, _, variance = _exact_moments(run(circuit, point).amplitudes, h)
     residual = float(np.sqrt(variance))

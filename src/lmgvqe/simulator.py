@@ -37,6 +37,7 @@ quasi-probabilities and parity signs use the same index.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -193,6 +194,17 @@ def outcome_distributions(
     return _noisy_rows(table, index, circuit.num_cnots, noise)
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` under the library's seed rule: a
+    Generator is returned as is, to be advanced rather than reseeded, and a
+    seed that is a number (bools included) must be a non-negative integer."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if isinstance(seed, numbers.Number):
+        _check_int(seed, "seed", minimum=0)
+    return np.random.default_rng(seed)
+
+
 def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     """Counts of ``shots`` readouts: one multinomial draw from one outcome
     distribution with ``np.random.default_rng(seed)``; an int or SeedSequence
@@ -203,7 +215,7 @@ def measure_term(distribution, shots: int, seed=0) -> np.ndarray:
     entries = dist.tolist()
     if dist.ndim != 1 or not (abs(sum(entries) - 1.0) <= 1e-9 and min(entries) >= 0.0):
         raise ValueError("distribution must be a finite, non-negative vector summing to 1")
-    return np.random.default_rng(seed).multinomial(shots, dist)
+    return _rng(seed).multinomial(shots, dist)
 
 
 def _checked_counts(counts, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:

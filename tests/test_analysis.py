@@ -120,6 +120,13 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+    def test_non_finite_state_rejected(self, bad):
+        good = np.array([1.0, 0.0])
+        for psi, phi in ((np.array(bad), good), (good, np.array(bad))):
+            with pytest.raises(ValueError, match="not normalized"):
+                fidelity(psi, phi)
+
 
 @pytest.fixture(scope="module")
 def n7_report(n7_a):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+import lmgvqe.cli as cli_module
 from lmgvqe import EstimatorConfig, Mitigation, NoiseModel
 from lmgvqe.cli import ConfigError, ExperimentConfig, main
 
@@ -337,3 +339,153 @@ class TestConfigBuiltOnce:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def sha256(text) -> str:
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+
+
+class TestCliArtifactDigest:
+    """Per run: the sha256 of stdout without ``--out``; with ``--out``, of
+    the summary line (the directory read as ``OUT``) and of the artifact
+    manifest, one ``name sha256`` line per file in name order.  Every digest
+    was computed before the commands shared one output path in ``main``."""
+
+    CASES = {
+        "decompose-n3": ["decompose", "--n", "3"],
+        "sweep-csv-exact": ["sweep", "--n", "3", "--steps", "5"],
+        "sweep-json-sampled": ["sweep", "--n", "7", "--block", "A", "--steps", "3",
+                               "--fixed", "0,0.5,0", "--shots", "200", "--seed", "3",
+                               "--format", "json"],
+        "minimize-readout": ["minimize", "--n", "3", "--block", "B", "--seed", "4",
+                             "--shots", "500", "--noise-readout", "0.02", "--mitigate", "readout"],
+        "minimize-readout-cnot135": ["minimize", "--n", "7", "--block", "A", "--seed", "3",
+                                     "--shots", "200", "--noise-readout", "0.02",
+                                     "--noise-cnot", "0.01", "--mitigate", "readout,cnot",
+                                     "--folds", "1,3,5"],
+        "spectrum-csv-sampled": ["spectrum", "--n", "3", "--block", "B", "--starts", "4",
+                                 "--seed", "33", "--shots", "2000"],
+        "spectrum-json-readout": ["spectrum", "--n", "3", "--block", "A", "--starts", "3",
+                                  "--seed", "2", "--shots", "1000", "--noise-readout", "0.02",
+                                  "--mitigate", "readout", "--format", "json"],
+        "spectrum-readout-cnot135": ["spectrum", "--n", "7", "--block", "A", "--starts", "2",
+                                     "--seed", "5", "--shots", "300", "--noise-readout", "0.02",
+                                     "--noise-cnot", "0.01", "--mitigate", "readout,cnot",
+                                     "--folds", "1,3,5"],
+        # stops on a biased readout-mitigated point (see ROADMAP item 1)
+        "spectrum-stop-bias": ["spectrum", "--n", "3", "--block", "A", "--shots", "20000",
+                               "--noise-readout", "0.02", "--mitigate", "readout",
+                               "--seed", "811136"],
+        "overlaps-exact": ["overlaps", "--n", "3", "--block", "A", "--starts", "6",
+                           "--seed", "9"],
+    }
+
+    # name: (exit code, stdout, summary, artifact manifest, artifact count)
+    EXPECTED = {
+        "decompose-n3": (
+            0, "ee393473b71b65e9747791f6e1f549f2980f5696dacd4223ee1c0f18ce3e45b7",
+            "ee393473b71b65e9747791f6e1f549f2980f5696dacd4223ee1c0f18ce3e45b7",
+            "d4dffe40b43430e9d036184ed3c343972b15e2de147e973a1b49eda859977526", 8),
+        "sweep-csv-exact": (
+            0, "b0e344cc93116c00bb88c40b2aae8e9f97d94cd0bcf1e92fb1c7eff5fa8e4163",
+            "910c048e5117adbcc79c86ba16b14e392ebde43dc5e0c747c233ebba27bfb7d9",
+            "d33503abd000a1763b99aebb86f03529f40f0d8f878cab0fd0de729d66cd0229", 1),
+        "sweep-json-sampled": (
+            0, "ef688f5aac64f5afa734468be3e5c8eb81079eabee94c4447259c9d8998c3606",
+            "32cdb1737c482a3552667977199e241be8d5dd81194a3d2612aeac4ed31787dc",
+            "100c78c4d24c6a3fe95056a50085fab90615eab1156c84453ba44bc56370ff7e", 1),
+        "minimize-readout": (
+            0, "c3acc97d4311950e0d1d978393331fb5834d84b72e2d0224e78d3745b32df540",
+            "ec1aa6c523bf58ea04f9715c5733a8783feed02a8a3988266d7634f08fd9d186",
+            "4100b0eee43cd6c65d36818f50444106c52db9c216b2bf40aee91a7a9979c503", 1),
+        "minimize-readout-cnot135": (
+            0, "a4454f1ceff32c084f883006275b67d565d839609330d8001d8930489b8d86f3",
+            "c2b47fb55d2a69dbea543ce258259034863e00740320d34bc071131b4a2bfc5d",
+            "46dab3c4ab080f42faa3065629751be68c9dfd12c4bf811a633c0bac1a47e64b", 1),
+        "spectrum-csv-sampled": (
+            0, "307d5b65d97b87c074f9b46fce0032d620728eb38956d82c92426c4a55630929",
+            "cf44ef12efb735c28f395fd153d3fec31e2d83d146d3a2ddc16d29d68306da23",
+            "fa40cb38c02a5280c8e04e92aca3194b616de7d0cb19eb74c310a5a0f13ef6e6", 6),
+        "spectrum-json-readout": (
+            3, "4968e3e0be74d315482a8e5904a072f344615f9bbde9ecc717c64ec800916f19",
+            "45e471acc9b4ef918d7218ac4ed8c6038e0764d23af4b72d94ee32871dd43725",
+            "6a2b39f1a72e67ab5396062bdb4664cc67b43dd2a64bd5bd4034fe5683ce1c38", 5),
+        "spectrum-readout-cnot135": (
+            3, "d1c4a1018dcafe750e28634b08dff853bd460da91bf1b78ac270c03dcb81edae",
+            "0b91e8074e57fd0cc390c4ec56b1fb570c47d024084cb38eaec02ed216ac3639",
+            "73cf7f864d6fb60e30667da508007e26ca74e148094a3b791ec18c3de8f38d12", 4),
+        "spectrum-stop-bias": (
+            3, "ef21bf73b1865d275a08f7d87ead8c88bae973b9e7d02b51a92a4bfde02f1989",
+            "0b91e8074e57fd0cc390c4ec56b1fb570c47d024084cb38eaec02ed216ac3639",
+            "00e1d332c7fb844f8829a883628444dc12ecec2b5a33f7d2068c44a2185240bc", 22),
+        "overlaps-exact": (
+            0, "bc2998d2bde97e8fc633aa0e054060ecc4b1ffd1a3b3306cfbe6cb7e7285848b",
+            "681e000ed6269b4766d36e84ef9d03f6cab91543fd65ecaaa6f62552d505f75b",
+            "5e8125dea3f0ac7f83ed267bf8345ac1098af564dfc9f800382f464d589e445d", 2),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_stdout_summary_and_artifacts(self, name, tmp_path, capsys):
+        argv = self.CASES[name]
+        code, stdout, summary, manifest, count = self.EXPECTED[name]
+        assert main(argv) == code
+        assert sha256(capsys.readouterr().out) == stdout
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == code
+        assert sha256(capsys.readouterr().out.replace(str(out), "OUT")) == summary
+        files = sorted(out.iterdir())
+        assert len(files) == count
+        assert sha256("".join(f"{p.name} {sha256(p.read_bytes())}\n" for p in files)) == manifest
+
+
+class TestOneOutputPath:
+    @pytest.mark.parametrize("argv, artifact", [
+        (["minimize", "--n", "3", "--block", "A", "--seed", "4"], "minimize.json"),
+        (["spectrum", "--n", "3", "--block", "B", "--starts", "4", "--seed", "3"],
+         "spectrum.json"),
+        (["sweep", "--n", "3", "--steps", "4"], "sweep.csv"),
+        (["sweep", "--n", "3", "--steps", "4", "--format", "json"], "sweep.json"),
+        (["overlaps", "--n", "3", "--block", "A", "--starts", "6", "--seed", "9"],
+         "overlaps.csv"),
+    ])
+    def test_stdout_equals_the_artifact(self, argv, artifact, tmp_path, capsys):
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path)]) == code
+        assert stdout == (tmp_path / artifact).read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "5"],
+        ["sweep", "--n", "7", "--block", "A"],
+        ["minimize", "--n", "3", "--shots", "1", "--noise-readout", "0.4",
+         "--mitigate", "readout", "--seed", "1"],
+    ], ids=["dim-3-block", "sweep-without-fixed", "singular-calibration"])
+    def test_failed_command_leaves_no_out_directory(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("kept\n")
+        assert main(["minimize", "--n", "3", "--block", "A", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert str(path) in captured.err
+        assert path.read_text() == "kept\n"
+
+    def test_stdout_only_spectrum_renders_no_trace_table(self, tmp_path, capsys, monkeypatch):
+        rendered, trace_rows = [], cli_module._trace_rows
+
+        def counting_trace_rows(trace):
+            rendered.append(trace)
+            return trace_rows(trace)
+
+        monkeypatch.setattr(cli_module, "_trace_rows", counting_trace_rows)
+        argv = ["spectrum", "--n", "3", "--block", "A", "--starts", "5", "--seed", "2"]
+        assert main(argv) == 0
+        assert rendered == []
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(rendered) == 5

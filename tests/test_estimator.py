@@ -594,6 +594,42 @@ class TestOneStreamPerEstimate:
         assert np.array_equal(second, replay.multinomial(1000, distribution))
 
 
+class TestSeedRule:
+    """``estimate``, ``calibrate`` and ``measure_term`` take a seed as
+    ``EstimatorConfig`` does: a number must be a non-negative integer (bools
+    rejected); a SeedSequence or Generator passes unchanged."""
+
+    DISTRIBUTION = np.full(4, 0.25)
+
+    def _calls(self, n3_a):
+        noise = NoiseModel(readout_p01=0.02, readout_p10=0.02)
+        return {
+            "estimate": lambda seed: estimate(
+                ansatz_1q(), [0.3], n3_a.h, n3_a.h2, shots=100, noise=noise,
+                mitigation=Mitigation(readout=True), seed=seed),
+            "calibrate": lambda seed: calibrate(1, noise, 100, seed).matrix,
+            "measure_term": lambda seed: measure_term(self.DISTRIBUTION, 100, seed),
+        }
+
+    @pytest.mark.parametrize("entry", ["estimate", "calibrate", "measure_term"])
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, np.float64(2.0), -1])
+    def test_non_integer_or_negative_seed_rejected(self, n3_a, entry, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            self._calls(n3_a)[entry](seed)
+
+    @pytest.mark.parametrize("entry", ["estimate", "calibrate", "measure_term"])
+    def test_integer_seed_sequence_and_generator_give_one_stream(self, n3_a, entry):
+        call = self._calls(n3_a)[entry]
+        results = [call(3), call(np.int64(3)), call(np.random.SeedSequence(3)),
+                   call(np.random.default_rng(3))]
+        for result in results[1:]:
+            assert repr(result) == repr(results[0])
+
+    def test_generator_returned_unchanged(self):
+        stream = np.random.default_rng(5)
+        assert simulator_module._rng(stream) is stream
+
+
 class TestSeededEstimateDigest:
     """The sha256 of the full-precision ``repr`` of 16 seeded sampled
     estimates per block and setting (8 points, 1000 and 20k shots), each

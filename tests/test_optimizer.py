@@ -484,6 +484,18 @@ class TestSweep:
         )
         assert len(points) == 5
 
+    @pytest.mark.parametrize("index", [True, 1.5, -1])
+    def test_parameter_index_must_be_a_non_negative_integer(self, n7_a, index):
+        with pytest.raises(ValueError, match="parameter_index must be a non-negative integer"):
+            sweep(n7_a.h, n7_a.h2, ansatz_2q(), parameter_index=index, grid=[0.0],
+                  config=EXACT, fixed_parameters=(0.0, 0.3, -0.2))
+
+    def test_numpy_integer_parameter_index_accepted(self, n7_a):
+        args = (n7_a.h, n7_a.h2, ansatz_2q())
+        kwargs = dict(grid=[0.0, 0.5], config=EXACT, fixed_parameters=(0.0, 0.3, -0.2))
+        assert (sweep(*args, parameter_index=np.int64(1), **kwargs)
+                == sweep(*args, parameter_index=1, **kwargs))
+
     @pytest.mark.parametrize("config", [EXACT, EstimatorConfig(shots=400, seed=6)],
                              ids=["exact", "sampled"])
     def test_exact_points_equal_estimate_per_point(self, n3_a, n7_a, config):
@@ -541,6 +553,11 @@ class TestAccidentalZeroCheck:
         for theta in (0.0, np.pi):
             passed, _ = accidental_zero_check(ansatz_1q(), [theta], z)
             assert passed
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
+    def test_tolerance_must_be_positive(self, n3_a, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            accidental_zero_check(ansatz_1q(), [0.3], n3_a.h, tolerance=tolerance)
 
 
 def _trace(energy, stderr=0.0, converged=True) -> RunTrace:
