@@ -224,10 +224,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             data = json.loads(path.read_text())
+        except OSError as exc:  # missing, a directory, unreadable, ...
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(data, dict):

@@ -52,6 +52,7 @@ from .simulator import (
     NOISELESS,
     NoiseModel,
     _basis_table,
+    _check_seed,
     _checked_counts,
     _noisy_rows,
     _rng,
@@ -212,6 +213,7 @@ def estimate(
     signs = np.concatenate([h.measured_signs, h2.measured_signs])
     if shots is None:
         _reject_noise_in_exact_mode(noise, mitigation)
+        _check_seed(seed)  # the sampled path's rule, though nothing is drawn
         state = run(circuit, parameters)
         table, index = _basis_table(state, all_strings)
         means, stderrs = (signs * table[index]).sum(-1), np.zeros(len(all_strings))

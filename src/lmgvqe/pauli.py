@@ -236,12 +236,8 @@ class PauliSum:
                 continue
             coeff_text, string_text = line.split(None, 1)
             parsed.append((float(coeff_text), string_text.strip()))
-        if num_qubits is None:
-            num_qubits = 1
-            for _, string_text in parsed:
-                if string_text != "I":
-                    qubits = [int(q) for _, q in re.findall(r"([IXYZ])(\d+)", string_text)]
-                    num_qubits = max(num_qubits, max(qubits) + 1)
+        if num_qubits is None:  # the widest string, read by PauliString's grammar
+            num_qubits = max((PauliString.from_text(s).num_qubits for _, s in parsed), default=1)
         terms = [(c, PauliString.from_text(s, num_qubits)) for c, s in parsed]
         return cls.from_terms(terms, num_qubits)
 

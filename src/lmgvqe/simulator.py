@@ -16,9 +16,9 @@ basis row by its own matrix-vector product, stacked into one call.
 of an estimate comes from one Generator.
 
 The rotations are compiled once per term tuple (``_basis_program``), as
-``Circuit._program`` compiles a circuit: step k applies every basis's k-th
-basis change to its own row of the table, or the identity where a basis has
-fewer, by the products and sums of ``apply_single_qubit``.  Addition
+``Circuit._program`` compiles a circuit: step q applies every row's basis
+change on qubit q, or the identity, through the partner vector of a gate on
+qubit q and the products and sums of ``apply_single_qubit``.  Addition
 commutes and an identity step changes only the sign of zeros, so each row is
 bit for bit the state rotated one basis change at a time.
 
@@ -55,6 +55,7 @@ __all__ = [
 _X_BASIS_CHANGE = ry_matrix(-np.pi / 2.0)
 _Y_BASIS_CHANGE = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2.0)  # RX(pi/2)
 _BASIS_CHANGES = {"X": _X_BASIS_CHANGE, "Y": _Y_BASIS_CHANGE}
+_IDENTITY = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -108,43 +109,31 @@ def _basis_program(terms: tuple, num_qubits: int) -> tuple[tuple, np.ndarray]:
     and each term's row among them.  Built once per term tuple; every array
     is read-only.
 
-    Bases are numbered in first-seen order, each one being the ``(qubit,
-    label)`` pairs where a term acts with X or Y.  Step k is a ``(keep, mix,
-    partner)`` triple of shape (bases, 2^n) that takes entry b of a row to
-    keep[b] a[b] + mix[b] a[partner[b]]: the k-th basis change U of the row's
-    basis on the qubit with bit mask m gives keep = U00 and mix = U01 where
-    bit m of b is 0, keep = U11 and mix = U10 where it is 1, and partner =
-    b ^ m.  A basis with fewer changes gets keep = 1, mix = 0, partner = b.
-    The first step reads the one state, so its partners index that vector;
-    later ones index the flattened table.  There is always one step, so the
-    result always has one row per basis."""
+    Bases are numbered in first-seen order, each one being a term's labels
+    with Z read as I.  Step q acts on qubit q, with bit mask m, for every
+    row: a ``(keep, mix, partner)`` triple that takes entry b of a row to
+    keep[b] a[b] + mix[b] a[partner[b]], with the one partner vector b ^ m
+    that ``Circuit._program`` gives a gate on that qubit.  The row's basis
+    change U on the qubit (the identity where it has none) gives keep = U00
+    and mix = U01 where bit m of b is 0, keep = U11 and mix = U10 where it
+    is 1; ``keep`` and ``mix`` have shape (bases, 2^n)."""
     if any(term.num_qubits != num_qubits for term in terms):
         raise ValueError(f"every term must act on the circuit's {num_qubits} qubits")
     row_of: dict[tuple, int] = {}
     index = np.array([
-        row_of.setdefault(tuple((q, l) for q, l in enumerate(t.labels) if l in "XY"), len(row_of))
+        row_of.setdefault(tuple(l if l in "XY" else "I" for l in t.labels), len(row_of))
         for t in terms
     ], dtype=np.intp)
-    bases = tuple(row_of)
-    size = 2**num_qubits
-    b = np.arange(size)
+    b = np.arange(2**num_qubits)
     steps = []
-    for k in range(max(1, max(map(len, bases), default=0))):
-        keep = np.ones((len(bases), size), dtype=complex)
-        mix = np.zeros_like(keep)
-        partner = np.tile(b, (len(bases), 1))
-        for row, basis in enumerate(bases):
-            if k < len(basis):
-                qubit, label = basis[k]
-                u = _BASIS_CHANGES[label]
-                mask = 1 << (num_qubits - 1 - qubit)  # qubit 0 is the most significant bit
-                high = (b & mask) != 0
-                keep[row] = np.where(high, u[1, 1], u[0, 0])
-                mix[row] = np.where(high, u[1, 0], u[0, 1])
-                partner[row] = b ^ mask
-        if k:
-            partner += size * np.arange(len(bases))[:, None]
-        steps.append((keep, mix, partner))
+    for q in range(num_qubits):
+        # each row's 2x2 change on qubit q; the reshape keeps the shape with no rows
+        u = np.array([_BASIS_CHANGES.get(row[q], _IDENTITY) for row in row_of]).reshape(-1, 2, 2)
+        mask = 1 << (num_qubits - 1 - q)  # qubit 0 is the most significant bit
+        high = (b & mask) != 0
+        keep = np.where(high, u[:, 1, 1, None], u[:, 0, 0, None])
+        mix = np.where(high, u[:, 1, 0, None], u[:, 0, 1, None])
+        steps.append((keep, mix, b ^ mask))
     for array in (index, *(a for step in steps for a in step)):
         array.setflags(write=False)
     return tuple(steps), index
@@ -153,12 +142,13 @@ def _basis_program(terms: tuple, num_qubits: int) -> tuple[tuple, np.ndarray]:
 def _basis_table(state: Statevector, terms) -> tuple[np.ndarray, np.ndarray]:
     """Ideal outcome distribution of each distinct measurement basis (the
     X/Y positions of a term), shape (bases, 2^n), and each term's row in it.
-    The compiled steps of ``_basis_program`` rotate the state into every
-    basis at once; each row is then |a|^2 normalised."""
+    The compiled steps of ``_basis_program`` rotate one copy of the state
+    per basis, all at once; each row is then |a|^2 normalised."""
     steps, index = _basis_program(tuple(terms), state.num_qubits)
-    rotated = state.amplitudes
+    # products of matching shapes: a broadcast state row costs twice as much
+    rotated = state.amplitudes[None].repeat(len(steps[0][0]), axis=0)
     for keep, mix, partner in steps:
-        rotated = keep * rotated + mix * rotated.take(partner)
+        rotated = keep * rotated + mix * rotated.take(partner, -1)
     p = np.abs(rotated) ** 2
     return p / p.sum(axis=1, keepdims=True), index
 
@@ -194,14 +184,19 @@ def outcome_distributions(
     return _noisy_rows(table, index, circuit.num_cnots, noise)
 
 
-def _rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` under the library's seed rule: a
-    Generator is returned as is, to be advanced rather than reseeded, and a
-    seed that is a number (bools included) must be a non-negative integer."""
-    if isinstance(seed, np.random.Generator):
-        return seed
+def _check_seed(seed) -> None:
+    """The library's seed rule: a seed that is a number (bools included)
+    must be a non-negative integer; a SeedSequence or Generator passes."""
     if isinstance(seed, numbers.Number):
         _check_int(seed, "seed", minimum=0)
+
+
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` under ``_check_seed``'s rule; a
+    Generator is returned as is, to be advanced rather than reseeded."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    _check_seed(seed)
     return np.random.default_rng(seed)
 
 

@@ -90,6 +90,11 @@ class TestEigensolve:
         with pytest.raises(ValueError):
             eigensolve(np.array([[0.0, 1.0j], [-1.0j, 0.0]]) + np.array([[0, 0.5], [0.5, 0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            eigensolve(np.zeros(shape))
+
 
 class TestFidelity:
     def test_identical_states(self):

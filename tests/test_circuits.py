@@ -92,6 +92,17 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError, match="normalized"):
             run(ansatz_1q(), [np.nan])
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Gate("rz", target=0, angle=0.1), "unknown gate kind 'rz'"),
+        (lambda: Gate("x", target=0, control=1), "x gate takes no control qubit"),
+        (lambda: Gate("ry", target=0, control=1, angle=0.1), "ry gate takes no control qubit"),
+        (lambda: Statevector(np.array(1.0)), "one amplitude vector or a batch"),
+        (lambda: Statevector(np.full((1, 1, 2), np.sqrt(0.5))), "one amplitude vector or a batch"),
+    ], ids=["unknown-kind", "x-with-control", "ry-with-control", "scalar-state", "3d-state"])
+    def test_malformed_gate_or_state_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
 
 class TestAnsatz1q:
     def test_structure(self):

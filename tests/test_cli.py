@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +260,35 @@ class TestConfigHandling:
     def test_missing_config_file(self):
         assert main(["spectrum", "--config", "/nonexistent/config.json"]) == 2
 
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        # reading a directory raises IsADirectoryError, an OSError like a missing file
+        assert main(["spectrum", "--config", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config file {tmp_path}")
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"eps": "1.0"}', "eps must be a real number"),
+        ('{"v": true}', "v must be a real number"),
+        ('{"block": "C"}', "block must be A or B"),
+        ('{"ansatz": "3q"}', "ansatz must be auto, 1q or 2q"),
+        ('{"format": "xml"}', "format must be csv or json"),
+        ('{"mitigate": [["readout"]]}', "unhashable type"),
+        ('{"n": 3,', "invalid JSON in"),
+    ])
+    def test_invalid_config_file_exits_2(self, text, match, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["decompose", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert match in captured.err
+
+    @pytest.mark.parametrize("flag, text", [("--folds", "1,x"), ("--fixed", "0,a,0")])
+    def test_unparsable_list_flag_exits_2(self, flag, text, capsys):
+        assert main(["sweep", "--n", "7", "--block", "A", flag, text]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse list {text!r}\n"
+
     def test_argparse_rejects_unknown_choice(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["spectrum", "--block", "C"])
@@ -489,3 +522,30 @@ class TestOneOutputPath:
         assert rendered == []
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert len(rendered) == 5
+
+
+class TestModuleEntryPoint:
+    """``python -m lmgvqe`` runs ``cli()``, which exits with ``main``'s code."""
+
+    @staticmethod
+    def _run(*argv):
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "lmgvqe", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+
+    def test_decompose_prints_the_block(self, capsys):
+        done = self._run("decompose", "--n", "3")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith("# N=3 block A: H matrix\n")
+        assert main(["decompose", "--n", "3"]) == 0
+        assert done.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--n", "5"], ["spectrum", "--config", "."]],
+                             ids=["dim-3-block", "directory-config"])
+    def test_bad_input_exits_2_without_traceback(self, argv):
+        done = self._run(*argv)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr

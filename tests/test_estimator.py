@@ -320,6 +320,11 @@ class TestSinglePointEntries:
         with pytest.raises(ValueError, match=match):
             calls[entry]()
 
+    def test_expectation_from_counts_takes_one_vector(self):
+        counts = np.array([[60, 40], [55, 45]])
+        with pytest.raises(ValueError, match="expected one count vector, got shape"):
+            expectation_from_counts(counts, PauliString(("Z",)))
+
 
 def _numerical_gradient(func, x, step=1e-6):
     grad = np.zeros_like(x)
@@ -628,6 +633,16 @@ class TestSeedRule:
     def test_generator_returned_unchanged(self):
         stream = np.random.default_rng(5)
         assert simulator_module._rng(stream) is stream
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_exact_mode_rejects_what_sampling_rejects(self, n3_a, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            estimate(ansatz_1q(), [0.3], n3_a.h, n3_a.h2, shots=None, seed=seed)
+
+    def test_exact_mode_accepts_every_valid_seed_and_ignores_it(self, n3_a):
+        seeds = [0, np.int64(3), np.random.SeedSequence(3), np.random.default_rng(3)]
+        results = [repr(estimate(ansatz_1q(), [0.3], n3_a.h, n3_a.h2, seed=s)) for s in seeds]
+        assert results == [repr(estimate(ansatz_1q(), [0.3], n3_a.h, n3_a.h2))] * len(seeds)
 
 
 class TestSeededEstimateDigest:

@@ -163,6 +163,12 @@ class TestConfusionMatrixValidation:
         with pytest.raises(ValueError):
             ConfusionMatrix(np.array(matrix), shots_per_column=shots)
 
+    @pytest.mark.parametrize("matrix", [np.full((2, 4), 0.5), np.array([1.0, 0.0])],
+                             ids=["rectangular", "vector"])
+    def test_matrix_must_be_square(self, matrix):
+        with pytest.raises(ValueError, match="confusion matrix must be square"):
+            ConfusionMatrix(matrix, shots_per_column=1)
+
 
     @pytest.mark.parametrize("side", [1, 3, 6])
     def test_side_must_be_a_power_of_two(self, side):

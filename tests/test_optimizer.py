@@ -496,6 +496,11 @@ class TestSweep:
         assert (sweep(*args, parameter_index=np.int64(1), **kwargs)
                 == sweep(*args, parameter_index=1, **kwargs))
 
+    @pytest.mark.parametrize("fixed", [(0.0, 0.3), (0.0, 0.3, -0.2, 1.0), ((0.0, 0.3, -0.2),)])
+    def test_fixed_parameters_must_fill_every_slot(self, n7_a, fixed):
+        with pytest.raises(ValueError, match="fixed_parameters must supply all 3 slots"):
+            sweep(n7_a.h, n7_a.h2, ansatz_2q(), grid=[0.0], config=EXACT, fixed_parameters=fixed)
+
     @pytest.mark.parametrize("config", [EXACT, EstimatorConfig(shots=400, seed=6)],
                              ids=["exact", "sampled"])
     def test_exact_points_equal_estimate_per_point(self, n3_a, n7_a, config):

@@ -204,6 +204,31 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             PauliString.from_text("X0X0")
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: PauliString(()), "needs at least one qubit"),
+        (lambda: PauliString(("Z", "Q")), "invalid Pauli label 'Q'"),
+        (lambda: PauliString.from_text("Z2", num_qubits=2), "qubit index out of range"),
+    ])
+    def test_malformed_strings_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_sum_text_infers_the_register_by_the_string_grammar(self):
+        with pytest.raises(ValueError, match="cannot parse Pauli string 'foo'"):
+            PauliSum.from_text("1.0 foo")
+        with pytest.raises(ValueError, match="cannot parse Pauli string 'Z0Q1'"):
+            PauliSum.from_text("0.5 I\n1.0 Z0Q1")
+        assert PauliSum.from_text("0.5 I").num_qubits == 1
+        assert PauliSum.from_text("") == PauliSum((), 1)
+
+    def test_multi_line_sum_round_trip(self):
+        # comments and blank lines are skipped; the widest string (Y2) sets the register
+        text = "# a comment\n-0.5 I\n\n0.25 Z0X1\n  1.5 Y2\n-2 X0Z2\n"
+        psum = PauliSum.from_text(text)
+        assert psum.num_qubits == 3
+        assert as_dict(psum) == {"I": -0.5, "Z0X1": 0.25, "Y2": 1.5, "X0Z2": -2.0}
+        assert PauliSum.from_text(psum.to_text()) == psum
+
     @pytest.mark.parametrize("num_qubits", [True, 2.0, 0, -1])
     def test_qubit_count_must_be_a_positive_integer(self, num_qubits):
         for text in ("I", "Z0"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lmgvqe import ModelParams, build_blocks, ladder_squared_element, square_block
+from lmgvqe.quasispin import QuasispinBlock
 
 from conftest import (
     N3_A_MATRIX,
@@ -35,6 +36,10 @@ class TestLadderElement:
             ladder_squared_element(1.5, 0.0)
         with pytest.raises(ValueError):
             ladder_squared_element(1.0, 2.5)
+
+    def test_rejects_m_outside_the_multiplet(self):
+        with pytest.raises(ValueError, match=r"\|m\| must not exceed j"):
+            ladder_squared_element(1.5, -2.5)
 
     def test_nonnegative_on_valid_domain(self):
         for n in range(1, 12):
@@ -124,6 +129,14 @@ class TestBuildBlocks:
         for n in (2.5, True, 3.0):
             with pytest.raises(ValueError, match="n_particles"):
                 ModelParams(n)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("parity, m_values, match", [
+        ("C", [-0.5], "parity must be 'A' or 'B'"),
+        ("A", [-0.5, 0.5], "matrix dimension does not match m_values"),
+    ])
+    def test_block_validation(self, parity, m_values, match):
+        with pytest.raises(ValueError, match=match):
+            QuasispinBlock(0.5, m_values, [[0.0]], parity)
 
 
 class TestSquareBlock:
