@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import numbers
@@ -181,7 +182,10 @@ def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["csv", "json"], help="tabular output format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves no state on
+    it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="lmgvqe",
         description="Variance-minimization VQE for LMG quasispin blocks",

@@ -20,12 +20,16 @@ cancellation of <H^2> - <H>^2.  The read takes one state or a batch, with
 the same arithmetic on every row.  Each exact term mean is s . p on the
 ideal table the sampled path draws from.
 
-In sampled mode each estimate prepares its state once into one table of
-ideal per-basis distributions; each CNOT fold mixes in its noise and gives
-one outcome distribution per term.  Only the folded circuit's CNOT count is
-read, and ``fold_cnots`` builds each fold once per circuit.  One stream,
-``default_rng(seed)``, draws the calibration columns, then fold by fold
-each term's shots into one preallocated count array.  A term's mean
+``estimate`` reads one point, or a batch of points with one seed per
+point; a single point is the batch of one.  In sampled mode one call
+prepares every point's state at once into one table of ideal per-basis
+distributions; each CNOT fold mixes in its noise and gives one outcome
+distribution per term and point.  Only the folded circuit's CNOT count is
+read, and ``fold_cnots`` builds each fold once per circuit.  Each point has
+its own stream, ``default_rng(seed)``, which draws that point's calibration
+columns, then fold by fold each term's shots into one preallocated count
+array; the readout correction and the extrapolation then serve every point
+in one call each, every point with the arithmetic it has alone.  A term's mean
 is s . q for its parity signs s (``PauliSum.measured_signs``) and q = A^-1 f,
 the frequencies f corrected by the readout calibration A (A = I without
 one).  As a weighted count w . f with w = A^-T s, its first-order variance is
@@ -46,7 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Statevector, _check_int, _single_point, fold_cnots, run
-from .mitigation import ConfusionMatrix, Mitigation, calibrate, cnot_extrapolate, mitigate_counts
+from .mitigation import (
+    ConfusionMatrix, Mitigation, _stacked, calibrate, cnot_extrapolate, mitigate_counts
+)
 from .pauli import PauliString, PauliSum, parity_signs
 from .simulator import (
     NOISELESS,
@@ -121,18 +127,21 @@ def _reject_noise_in_exact_mode(noise: NoiseModel, mitigation: Mitigation) -> No
         raise ValueError("exact mode (shots=None) models no noise and applies no mitigation")
 
 
-def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal: ConfusionMatrix | None):
+def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal):
     """Means and standard errors of T terms from their counts, of shape
     (..., T, 2^n), and parity signs, of shape (T, 2^n), by the
-    weighted-count formula of the module docstring."""
+    weighted-count formula of the module docstring.  ``cal`` is None, one
+    ``ConfusionMatrix``, or a sequence of one per row along the first axis
+    of ``counts``; every row keeps the arithmetic it has alone."""
     shots = counts.sum(axis=-1)
     if cal is None:
         q, w2, cal_var = counts / shots[..., None], signs**2, 0.0
     else:
         q = mitigate_counts(counts, cal)
-        w2 = np.linalg.solve(cal.matrix.T, signs.T).T ** 2
+        matrix, cal_shots = _stacked(cal, counts, counts.ndim - 2)
+        w2 = np.linalg.solve(matrix.swapaxes(-1, -2), signs.T).swapaxes(-1, -2) ** 2
         # w . A_j = s_j = +-1, so each column's own term is w^2 . A_j - 1
-        cal_var = (q**2 * (w2 @ cal.matrix - 1.0)).sum(axis=-1) / cal.shots_per_column
+        cal_var = (q**2 * (w2 @ matrix - 1.0)).sum(axis=-1) / cal_shots
     mean = (signs * q).sum(axis=-1)
     var = ((w2 * counts).sum(axis=-1) / shots - mean**2) / shots + cal_var
     one_sign = np.abs((signs * counts).sum(axis=-1)) == shots
@@ -162,28 +171,51 @@ def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.nda
     return const + float(betas @ means), math.sqrt((betas**2 * stderrs**2).sum())
 
 
-def _sampled_term_means(circuit, parameters, all_strings, signs, shots, noise, mitigation, seed):
-    """Means and standard errors of every measured term from one seeded
-    stream, readout-corrected and CNOT-extrapolated as ``mitigation`` asks."""
-    rng = _rng(seed)
+def _sampled_term_means(circuit, points, all_strings, signs, shots, noise, mitigation, rngs):
+    """Means and standard errors of every measured term, readout-corrected
+    and CNOT-extrapolated as ``mitigation`` asks: each of shape (T,) for one
+    point of shape (k,), (B, T) for points of shape (B, k).  Point b draws
+    from its own stream ``rngs[b]`` in the order one point alone does; the
+    states, tables, corrections and extrapolation serve every point at once,
+    each point with the arithmetic it has alone."""
     folds = mitigation.folds if mitigation.cnot else (1,)
-    cal = None
+    cals = None
     if mitigation.readout:
         cal_shots = shots if mitigation.calibration_shots is None else mitigation.calibration_shots
-        cal = calibrate(circuit.num_qubits, noise, cal_shots, rng)
+        cals = [calibrate(circuit.num_qubits, noise, cal_shots, rng) for rng in rngs]
 
-    # odd folds prepare the same amplitudes, so one state and one basis
-    # table serve every fold; the folded circuit only gives its CNOT count
-    table, index = _basis_table(run(circuit, parameters), all_strings)
-    counts = np.empty((len(folds), *signs.shape), dtype=np.int64)
+    # odd folds prepare the same amplitudes, so one state per point and one
+    # basis table serve every fold; the folded circuit only gives its CNOT count
+    table, index = _basis_table(run(circuit, points), all_strings)
+    counts = np.empty((len(rngs), len(folds), *signs.shape), dtype=np.int64)
     for f, fold in enumerate(folds):
         rows = _noisy_rows(table, index, fold_cnots(circuit, fold).num_cnots, noise)
-        for t, row in enumerate(rows):
-            counts[f, t] = measure_term(row, shots, rng)
-    means, stderrs = _term_estimates(counts, signs, cal)  # each (folds, terms)
+        rows = rows.reshape(len(rngs), *signs.shape)
+        for b, rng in enumerate(rngs):
+            for t, row in enumerate(rows[b]):
+                counts[b, f, t] = measure_term(row, shots, rng)
+    # one point's counts lose the point axis, as the point's arrays have none
+    counts = counts.reshape(*points.shape[:-1], *counts.shape[1:])
+    means, stderrs = _term_estimates(counts, signs, cals)  # each (..., folds, terms)
     if len(folds) > 1:
-        return cnot_extrapolate(zip(folds, means, stderrs))
-    return means[0], stderrs[0]
+        return cnot_extrapolate(zip(folds, means.swapaxes(0, -2), stderrs.swapaxes(0, -2)))
+    return means[..., 0, :], stderrs[..., 0, :]
+
+
+def _points(circuit: Circuit, parameters, seed) -> tuple[np.ndarray, list]:
+    """The point of shape (k,) and its seed, or with a list or tuple of B
+    seeds the points of shape (B, k) and their seeds.  A batch with any
+    other seed is taken for one point, and rejected as one."""
+    if not isinstance(seed, (list, tuple)):
+        return _single_point(circuit, parameters), [seed]
+    points = np.asarray(parameters, dtype=float)
+    k = circuit.num_parameters
+    if points.shape != (len(seed), k) or not seed:
+        raise ValueError(
+            f"expected one point of {k} parameters per seed, {len(seed)} in all, "
+            f"got shape {points.shape}"
+        )
+    return points, list(seed)
 
 
 def estimate(
@@ -195,8 +227,17 @@ def estimate(
     noise: NoiseModel = NOISELESS,
     mitigation: Mitigation | None = None,
     seed=0,
-) -> EstimationResult:
-    """Estimate <H>, <H^2> and the variance at one parameter point.
+) -> EstimationResult | list[EstimationResult]:
+    """Estimate <H>, <H^2> and the variance at one parameter point, or at
+    each point of a batch.
+
+    ``parameters`` of shape (k,) with one seed returns one
+    ``EstimationResult``.  Shape (B, k) with ``seed`` a list or tuple of B
+    seeds returns B results in order, each equal bit for bit to the single
+    call at its point with its seed; a batch with any other seed is rejected
+    before a state is prepared.  One call checks the problem, prepares the
+    states and builds their tables once for the whole batch; each point
+    keeps its own stream, calibration and draws.
 
     ``h2`` must be the operator square of ``h``; their dense matrices are
     compared on every call.  Exact variances are squared norms, never
@@ -205,37 +246,45 @@ def estimate(
     """
     mitigation = mitigation or Mitigation()
     _verify_problem(circuit, h, h2)
-    parameters = tuple(_single_point(circuit, parameters).tolist())
+    points, seeds = _points(circuit, parameters, seed)
 
     const_h, betas_h, strings_h = h.measured_arrays
     const_2, betas_2, strings_2 = h2.measured_arrays
     all_strings = strings_h + strings_2
     signs = np.concatenate([h.measured_signs, h2.measured_signs])
+    split = len(strings_h)
     if shots is None:
         _reject_noise_in_exact_mode(noise, mitigation)
-        _check_seed(seed)  # the sampled path's rule, though nothing is drawn
-        state = run(circuit, parameters)
+        for s in seeds:
+            _check_seed(s)  # the sampled path's rule, though nothing is drawn
+        state = run(circuit, points)
         table, index = _basis_table(state, all_strings)
-        means, stderrs = (signs * table[index]).sum(-1), np.zeros(len(all_strings))
-        energy, h_sq, variance = map(float, _exact_moments(state.amplitudes, h))
-        energy_stderr = h_sq_stderr = 0.0
+        means = (signs * table.take(index, axis=-2)).sum(-1)
+        stderrs = np.zeros(means.shape)
+        moments = zip(*(np.reshape(m, -1).tolist() for m in _exact_moments(state.amplitudes, h)))
     else:
         _check_int(shots)
+        rngs = [_rng(s) for s in seeds]  # every seed checked before a state is prepared
         means, stderrs = _sampled_term_means(
-            circuit, parameters, all_strings, signs, shots, noise, mitigation, seed
+            circuit, points, all_strings, signs, shots, noise, mitigation, rngs
         )
-        split = len(strings_h)
-        energy, energy_stderr = _combine(const_h, betas_h, means[:split], stderrs[:split])
-        h_sq, h_sq_stderr = _combine(const_2, betas_2, means[split:], stderrs[split:])
-        variance = h_sq - energy**2
-    per_term = zip(all_strings, means.tolist(), stderrs.tolist())
-    return EstimationResult(
-        energy=energy,
-        energy_stderr=energy_stderr,
-        h_squared=h_sq,
-        h_squared_stderr=h_sq_stderr,
-        variance=variance,
-        variance_stderr=math.sqrt(h_sq_stderr**2 + 4.0 * energy**2 * energy_stderr**2),
-        per_term=tuple(per_term),
-        shots=shots,
-    )
+    results = []
+    shape = (len(seeds), len(all_strings))  # one row per point
+    for m, e in zip(means.reshape(shape), stderrs.reshape(shape)):
+        if shots is None:
+            (energy, h_sq, variance), energy_stderr, h_sq_stderr = next(moments), 0.0, 0.0
+        else:
+            energy, energy_stderr = _combine(const_h, betas_h, m[:split], e[:split])
+            h_sq, h_sq_stderr = _combine(const_2, betas_2, m[split:], e[split:])
+            variance = h_sq - energy**2
+        results.append(EstimationResult(
+            energy=energy,
+            energy_stderr=energy_stderr,
+            h_squared=h_sq,
+            h_squared_stderr=h_sq_stderr,
+            variance=variance,
+            variance_stderr=math.sqrt(h_sq_stderr**2 + 4.0 * energy**2 * energy_stderr**2),
+            per_term=tuple(zip(all_strings, m.tolist(), e.tolist())),
+            shots=shots,
+        ))
+    return results if points.ndim == 2 else results[0]

@@ -77,10 +77,11 @@ class ConfusionMatrix:
         side = mat.shape[0]
         if side < 2 or side & (side - 1):
             raise ValueError(f"confusion matrix side {side} is not 2^n for n >= 1 qubits")
-        # NaN fails every bound below
-        if not (mat.min() >= -1e-12 and mat.max() <= 1.0 + 1e-12):
+        # the few entries are checked as Python floats; NaN fails every bound
+        rows = mat.tolist()
+        if not all(-1e-12 <= x <= 1.0 + 1e-12 for row in rows for x in row):
             raise ValueError("confusion matrix entries must lie in [0, 1]")
-        if not np.abs(mat.sum(axis=0) - 1.0).max() <= 1e-9:
+        if not all(abs(sum(column) - 1.0) <= 1e-9 for column in zip(*rows)):
             raise ValueError("confusion matrix columns must sum to 1")
         _check_int(self.shots_per_column, "shots_per_column")
 
@@ -105,17 +106,39 @@ def calibrate(num_qubits: int, noise: NoiseModel, shots: int, seed=0) -> Confusi
     return ConfusionMatrix(matrix=matrix, shots_per_column=shots)
 
 
-def mitigate_counts(counts, cal: ConfusionMatrix) -> np.ndarray:
+def _stacked(cal, counts: np.ndarray, leading: int):
+    """The matrix and shots per column of one calibration, or of a sequence
+    of one calibration per row along the first axis of ``counts``: then
+    stacked with shapes (B, 1, ..., 1, 2^n, 2^n) and (B, 1, ..., 1, 1),
+    ``leading`` axes before the matrix axes, so that each broadcasts over its
+    own row.  A sequence of one is that one calibration, for every row."""
+    if isinstance(cal, ConfusionMatrix) or len(cal) == 1:
+        cal = cal if isinstance(cal, ConfusionMatrix) else cal[0]
+        return cal.matrix, cal.shots_per_column
+    if counts.ndim < 2 or len(cal) != len(counts):
+        raise ValueError(f"expected one calibration per row of counts of shape {counts.shape}")
+    pad = (1,) * (leading - 1)
+    matrix = np.array([c.matrix for c in cal])
+    shots = np.array([c.shots_per_column for c in cal])
+    return matrix.reshape(len(matrix), *pad, *matrix.shape[1:]), shots.reshape(len(shots), *pad, 1)
+
+
+def mitigate_counts(counts, cal) -> np.ndarray:
     """Solve cal @ q = f for the frequencies f of counts of shape (..., 2^n).
 
-    The solution is a quasi-probability vector: entries may be slightly
-    negative, and they are kept that way because clipping would bias the
-    expectation values computed from it.  The entries always sum to 1.
+    ``cal`` is one ``ConfusionMatrix``, or a sequence of one per row along
+    the first axis of ``counts``.  Either way each count vector is its own
+    solve, so a row corrects as it does alone.  The solution is a
+    quasi-probability vector: entries may be slightly negative, and they are
+    kept that way because clipping would bias the expectation values
+    computed from it.  The entries always sum to 1.
     """
-    counts, totals = _checked_counts(counts, cal.num_qubits)
+    counts = np.asarray(counts)
+    matrix, _ = _stacked(cal, counts, counts.ndim - 1)
+    counts, totals = _checked_counts(counts, matrix.shape[-1].bit_length() - 1)
     freq = counts / totals[..., None]
     try:
-        return np.linalg.solve(cal.matrix, freq[..., None])[..., 0]
+        return np.linalg.solve(matrix, freq[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise MitigationError("calibration matrix is singular; counts are unmitigable") from exc
 

@@ -19,10 +19,11 @@ each round, every live start yields its next point, and one step,
 ``_evaluate``, reads them all, as a sweep reads its grid.  The exact points
 share one batched ``run`` and one moment read
 (``estimator._exact_moments``), each row with the arithmetic of exact
-``estimate``, so no start's trace depends on the others; each sampled point
-is one ``estimate`` seeded by (its start's seed, its evaluation index).  A
-trace's exact final result is one ``estimate``, and each trace records why
-it stopped.
+``estimate``.  The sampled points are grouped by config with the seed left
+out, and each group is one batched ``estimate`` in which each point is
+seeded by (its start's seed, its evaluation index) and keeps its own draws.
+So no start's trace depends on the others.  A trace's exact final result is
+one ``estimate``, and each trace records why it stopped.
 
 ``discover_spectrum`` runs its seeded starts in one ``minimize_variance``
 call; ``_group`` groups the converged energies, ``_screen`` keeps each group
@@ -203,9 +204,10 @@ def _evaluate(h, h2, circuit: Circuit, points, configs, indices) -> list:
     ``(energy, variance, energy_stderr, variance_stderr)`` read as its config
     says.  The exact rows go through one batched ``run`` and one moment read,
     each row with the arithmetic of exact ``estimate``, so its values equal
-    estimate's bit for bit; their result is None.  Each sampled row is one
-    ``estimate`` seeded by (its config's seed, its evaluation index).  The
-    caller has checked the problem."""
+    estimate's bit for bit; their result is None.  The sampled rows are
+    grouped by config with the seed left out, and each group is one batched
+    ``estimate``, each row seeded by (its config's seed, its evaluation
+    index).  The caller has checked the problem."""
     points = np.asarray(points, dtype=float)
     evaluated: list = [None] * len(points)
     exact = [i for i, config in enumerate(configs) if config.exact]
@@ -213,12 +215,14 @@ def _evaluate(h, h2, circuit: Circuit, points, configs, indices) -> list:
         energy, _, variance = _exact_moments(run(circuit, points[exact]).amplitudes, h)
         for i, e, v in zip(exact, energy.tolist(), variance.tolist()):
             evaluated[i] = (e, v, 0.0, 0.0), None  # +0.0 stderrs, as exact estimate gives
-    for i, (config, index) in enumerate(zip(configs, indices)):
+    groups: dict = {}
+    for i, config in enumerate(configs):
         if not config.exact:
-            r = estimate(
-                circuit, points[i], h, h2, config.shots, config.noise, config.mitigation,
-                seed=np.random.SeedSequence((config.seed, index)),
-            )
+            groups.setdefault((config.shots, config.noise, config.mitigation), []).append(i)
+    for (shots, noise, mitigation), rows in groups.items():
+        seeds = [np.random.SeedSequence((configs[i].seed, indices[i])) for i in rows]
+        results = estimate(circuit, points[rows], h, h2, shots, noise, mitigation, seed=seeds)
+        for i, r in zip(rows, results):
             evaluated[i] = (r.energy, r.variance, r.energy_stderr, r.variance_stderr), r
     return evaluated
 

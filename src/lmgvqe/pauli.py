@@ -234,8 +234,13 @@ class PauliSum:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            coeff_text, string_text = line.split(None, 1)
-            parsed.append((float(coeff_text), string_text.strip()))
+            parts = line.split(None, 1)
+            try:
+                parsed.append((float(parts[0]), parts[1].strip()))
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"cannot parse term line {line!r}: expected a coefficient and a Pauli string"
+                ) from None
         if num_qubits is None:  # the widest string, read by PauliString's grammar
             num_qubits = max((PauliString.from_text(s).num_qubits for _, s in parsed), default=1)
         terms = [(c, PauliString.from_text(s, num_qubits)) for c, s in parsed]

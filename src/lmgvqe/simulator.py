@@ -7,8 +7,9 @@ X or Y, then all qubits are read out in the computational basis.
 every term's measurement circuit as one table, in two halves:
 ``_basis_table`` rotates a prepared state into every distinct basis at once,
 giving a table of ideal distributions, and ``_noisy_rows`` mixes in the
-noise of a CNOT count and the readout, then gathers one row per term.  The
-estimator prepares the state once per estimate and runs the first half once,
+noise of a CNOT count and the readout, then gathers one row per term.  Both
+halves also take a leading batch axis, one table per state.  The estimator
+prepares the states once per ``estimate`` call and runs the first half once,
 the second once per CNOT fold.  With no CNOT noise to mix in (survival 1)
 the second half reuses the table itself, and the readout matrix maps each
 basis row by its own matrix-vector product, stacked into one call.
@@ -141,34 +142,37 @@ def _basis_program(terms: tuple, num_qubits: int) -> tuple[tuple, np.ndarray]:
 
 def _basis_table(state: Statevector, terms) -> tuple[np.ndarray, np.ndarray]:
     """Ideal outcome distribution of each distinct measurement basis (the
-    X/Y positions of a term), shape (bases, 2^n), and each term's row in it.
-    The compiled steps of ``_basis_program`` rotate one copy of the state
-    per basis, all at once; each row is then |a|^2 normalised."""
+    X/Y positions of a term), shape (bases, 2^n) for one state and
+    (B, bases, 2^n) for a batch, and each term's row in it.  The compiled
+    steps of ``_basis_program`` rotate one copy of each state per basis, all
+    at once; each row is then |a|^2 normalised."""
     steps, index = _basis_program(tuple(terms), state.num_qubits)
     # products of matching shapes: a broadcast state row costs twice as much
-    rotated = state.amplitudes[None].repeat(len(steps[0][0]), axis=0)
+    rotated = state.amplitudes[..., None, :].repeat(len(steps[0][0]), axis=-2)
     for keep, mix, partner in steps:
         rotated = keep * rotated + mix * rotated.take(partner, -1)
     p = np.abs(rotated) ** 2
-    return p / p.sum(axis=1, keepdims=True), index
+    return p / p.sum(axis=-1, keepdims=True), index
 
 
 def _noisy_rows(table: np.ndarray, index: np.ndarray, num_cnots: int, noise: NoiseModel):
     """Rows of ``_basis_table`` after ``num_cnots`` noisy CNOTs and readout,
-    one per term.  The closed-form CNOT channel (module docstring) needs every
-    CNOT to touch the whole register, so it commutes with every later gate."""
+    one per term: shape (..., terms, 2^n) for a table of shape
+    (..., bases, 2^n).  The closed-form CNOT channel (module docstring) needs
+    every CNOT to touch the whole register, so it commutes with every later
+    gate."""
     survival = (1.0 - 16.0 * noise.cnot_depolarizing / 15.0) ** num_cnots
-    n = table.shape[1].bit_length() - 1
+    n = table.shape[-1].bit_length() - 1
     if survival < 1.0 and n > 2:
         raise ValueError(f"CNOT noise is only modelled on registers of at most 2 qubits, got {n}")
     # at survival 1 the mix is the table itself: its entries are >= 0, so
     # 1 * p + 0 gives p bit for bit
-    mixed = table if survival == 1.0 else survival * table + (1.0 - survival) / table.shape[1]
+    mixed = table if survival == 1.0 else survival * table + (1.0 - survival) / table.shape[-1]
     if noise.has_readout_error:
         # a stack of matrix-vector products, each the gemv of ``readout @ p``;
         # one matrix-matrix product may round differently
-        mixed = (_readout_matrix(noise, n) @ mixed[:, :, None])[:, :, 0]
-    return mixed[index]
+        mixed = (_readout_matrix(noise, n) @ mixed[..., None])[..., 0]
+    return mixed.take(index, axis=-2)
 
 
 def outcome_distributions(

@@ -524,6 +524,30 @@ class TestOneOutputPath:
         assert len(rendered) == 5
 
 
+class TestParserBuiltOnce:
+    def test_main_calls_share_one_parser(self, monkeypatch, capsys):
+        parsers = []
+        build = cli_module.build_parser
+
+        def recording_build():
+            parsers.append(build())
+            return parsers[-1]
+
+        monkeypatch.setattr(cli_module, "build_parser", recording_build)
+        assert main(["decompose", "--n", "3"]) == 0
+        assert main(["decompose", "--n", "7", "--block", "A"]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_parse_error_leaves_the_next_call_working(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spectrum", "--no-such-flag"])
+        assert exit_info.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        assert main(["decompose", "--n", "3", "--block", "B"]) == 0
+        out = capsys.readouterr().out
+        assert "0.5 I" in out and "-0.5 I" not in out
+
+
 class TestModuleEntryPoint:
     """``python -m lmgvqe`` runs ``cli()``, which exits with ``main``'s code."""
 

@@ -688,3 +688,96 @@ class TestSeededEstimateDigest:
     def test_digest_pinned(self, request, block, config):
         setup = request.getfixturevalue(block)
         assert self.digest(setup, *self.CONFIGS[config]) == self.DIGESTS[block, config]
+
+
+class TestBatchedEstimate:
+    """``estimate`` at a batch of points with one seed per point is one call
+    whose results equal the single calls at those points and seeds, bit for
+    bit; each point keeps its own stream, calibration and draws."""
+
+    CONFIGS = {
+        "noiseless": (NoiseModel(), Mitigation()),
+        "readout": (DEFAULT_SYNTHETIC_NOISE, Mitigation(readout=True)),
+        "readout_cnot13": (DEFAULT_SYNTHETIC_NOISE, Mitigation(readout=True, cnot=True)),
+        "readout_cnot135": (
+            DEFAULT_SYNTHETIC_NOISE,
+            Mitigation(readout=True, cnot=True, folds=(1, 3, 5), calibration_shots=3000),
+        ),
+    }
+    SEEDS = (3, np.int64(8), np.random.SeedSequence((4, 1)), 0, 3)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("block", ["n3_a", "n7_a"])
+    def test_rows_equal_single_calls(self, request, block, config):
+        setup = request.getfixturevalue(block)
+        noise, mitigation = self.CONFIGS[config]
+        points = np.random.default_rng(17).uniform(-np.pi, np.pi, (5, setup.circuit.num_parameters))
+        kwargs = dict(shots=1000, noise=noise, mitigation=mitigation)
+        batch = estimate(setup.circuit, points, setup.h, setup.h2, **kwargs, seed=list(self.SEEDS))
+        assert len(batch) == 5
+        for point, seed, result in zip(points, self.SEEDS, batch):
+            alone = estimate(setup.circuit, point, setup.h, setup.h2, **kwargs, seed=seed)
+            assert repr(result) == repr(alone)
+
+    @pytest.mark.parametrize("block", ["n3_a", "n7_a"])
+    def test_exact_rows_equal_single_calls(self, request, block):
+        setup = request.getfixturevalue(block)
+        points = np.random.default_rng(18).uniform(-np.pi, np.pi, (5, setup.circuit.num_parameters))
+        batch = estimate(setup.circuit, points, setup.h, setup.h2, seed=(0,) * 5)
+        assert [repr(r) for r in batch] == [
+            repr(estimate(setup.circuit, p, setup.h, setup.h2)) for p in points
+        ]
+
+    def test_one_preparation_and_per_point_draws(self, n7_a, monkeypatch):
+        import lmgvqe.mitigation as mitigation_module
+
+        calls, shots = Counter(), Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "measure_term":
+                    shots[name] += inspect.signature(measure_term).bind(*args, **kwargs).arguments["shots"]
+                return function(*args, **kwargs)
+            return wrapper
+
+        for module, name in (
+            (estimator_module, "run"), (estimator_module, "calibrate"),
+            (estimator_module, "measure_term"), (mitigation_module, "measure_term"),
+            (estimator_module, "mitigate_counts"), (estimator_module, "cnot_extrapolate"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        mitigation = Mitigation(readout=True, cnot=True, folds=(1, 3), calibration_shots=3000)
+        points = np.random.default_rng(19).uniform(-np.pi, np.pi, (4, 3))
+        estimate(ansatz_2q(), points, n7_a.h, n7_a.h2, shots=1000,
+                 noise=DEFAULT_SYNTHETIC_NOISE, mitigation=mitigation, seed=[1, 2, 3, 4])
+        assert dict(calls) == {
+            "run": 1, "calibrate": 4, "measure_term": 4 * (4 + 15 * 2),
+            "mitigate_counts": 1, "cnot_extrapolate": 1,
+        }
+        assert shots["measure_term"] == 4 * (4 * 3000 + 15 * 2 * 1000)
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    @pytest.mark.parametrize("seeds, match", [
+        ([1, 2], "one point of 3 parameters per seed, 2 in all"),
+        ([1, 2, 3, 4], "one point of 3 parameters per seed, 4 in all"),
+        ([], "one point of 3 parameters per seed, 0 in all"),
+        ([1, 1.5, 3], "seed must be a non-negative integer"),
+        ((1, True, 3), "seed must be a non-negative integer"),
+        ([1, 2, -3], "seed must be a non-negative integer"),
+    ], ids=["short", "long", "empty", "float", "bool", "negative"])
+    def test_bad_seed_list_rejected_before_any_preparation(
+        self, n7_a, monkeypatch, shots, seeds, match
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a state was prepared")
+
+        for module in (estimator_module, optimizer_module, simulator_module):
+            monkeypatch.setattr(module, "run", forbidden)
+        points = np.random.default_rng(3).uniform(-np.pi, np.pi, (3, 3))
+        with pytest.raises(ValueError, match=match):
+            estimate(n7_a.circuit, points, n7_a.h, n7_a.h2, shots=shots, seed=seeds)
+
+    def test_one_point_with_a_seed_list_is_rejected(self, n7_a):
+        with pytest.raises(ValueError, match="one point of 3 parameters per seed"):
+            estimate(n7_a.circuit, (0.1, 0.2, 0.3), n7_a.h, n7_a.h2, shots=100, seed=[1])

@@ -334,3 +334,24 @@ class TestMitigationFlags:
     def test_defaults(self):
         flags = Mitigation()
         assert flags.folds == (1, 3)
+
+
+class TestMitigateCountsPerRow:
+    """A sequence of calibrations corrects each row of counts with its own,
+    as the single call on that row does, bit for bit."""
+
+    def test_rows_equal_single_calls(self):
+        noise = NoiseModel(0.03, 0.05)
+        cals = [calibrate(2, noise, 2000, seed) for seed in range(3)]
+        rng = np.random.default_rng(7)
+        counts = rng.multinomial(1000, np.full(4, 0.25), size=(3, 2, 5))
+        together = mitigate_counts(counts, cals)
+        assert together.shape == counts.shape
+        for row, cal, got in zip(counts, cals, together):
+            assert mitigate_counts(row, cal).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_one_calibration_per_row(self, rows):
+        cals = [ConfusionMatrix(np.eye(2), shots_per_column=1)] * 3
+        with pytest.raises(ValueError, match="one calibration per row"):
+            mitigate_counts(np.ones((rows, 2), dtype=int), cals)

@@ -21,6 +21,7 @@ from lmgvqe import (
     ansatz_2q,
     discover_spectrum,
     estimate,
+    measure_term,
     minimize_variance,
     sweep,
 )
@@ -435,6 +436,66 @@ class TestLockstepStarts:
             for x, c in zip(starts, configs)
         ]
         assert repr(traces) == repr(alone)
+
+
+class TestOneEstimatePerRound:
+    """A lockstep round reads its sampled points with one ``estimate`` call
+    per config, the seed left out; every point keeps its own draws."""
+
+    def test_sampled_spectrum_makes_one_estimate_call_per_round(self, n3_a, monkeypatch):
+        import lmgvqe.estimator as estimator_module
+        import lmgvqe.mitigation as mitigation_module
+
+        batches, draws = [], Counter()
+
+        def counting_estimate(*args, **kwargs):
+            batches.append(len(kwargs["seed"]))
+            return estimate(*args, **kwargs)
+
+        def counting_measure_term(distribution, shots, seed=0):
+            draws["measure_term"] += 1
+            return measure_term(distribution, shots, seed)
+
+        monkeypatch.setattr(optimizer_module, "estimate", counting_estimate)
+        monkeypatch.setattr(estimator_module, "measure_term", counting_measure_term)
+        monkeypatch.setattr(mitigation_module, "measure_term", counting_measure_term)
+        config = EstimatorConfig(
+            shots=2000, noise=NoiseModel(0.02, 0.02), mitigation=Mitigation(readout=True)
+        )
+        report = discover_spectrum(n3_a.h, n3_a.h2, ansatz_1q(), 8, config, master_seed=4)
+        evaluations = [len(t.iterations) for t in report.traces]
+        # one call per round, and a start is live in its first len(iterations) rounds
+        assert batches == [sum(n > r for n in evaluations) for r in range(max(evaluations))]
+        terms = len(n3_a.h.measured_terms) + len(n3_a.h2.measured_terms)
+        assert draws["measure_term"] == sum(evaluations) * (terms + 2)  # + 2 calibration columns
+
+    def test_mixed_configs_give_each_start_its_trace_alone(self, n7_a, monkeypatch):
+        mitigation = Mitigation(readout=True, cnot=True, folds=(1, 3))
+        configs = [
+            EstimatorConfig(shots=1000, seed=1),
+            EstimatorConfig(shots=3000, seed=2),
+            EstimatorConfig(
+                shots=1000, noise=NoiseModel(0.02, 0.02, 0.01), mitigation=mitigation, seed=3
+            ),
+            EstimatorConfig(shots=1000, seed=4),
+            EXACT,
+        ]
+        starts = np.random.default_rng(6).uniform(-np.pi, np.pi, (5, 3))
+        alone = [
+            minimize_variance(n7_a.h, n7_a.h2, n7_a.circuit, x, c, budget=30)
+            for x, c in zip(starts, configs)
+        ]
+        batches = []
+
+        def counting_estimate(*args, **kwargs):
+            if isinstance(kwargs.get("seed"), list):
+                batches.append(len(kwargs["seed"]))
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer_module, "estimate", counting_estimate)
+        traces = minimize_variance(n7_a.h, n7_a.h2, n7_a.circuit, starts, configs, budget=30)
+        assert repr(traces) == repr(alone)
+        assert batches[:3] == [2, 1, 1]  # the two 1000-shot noiseless starts share a call
 
 
 class TestSweep:

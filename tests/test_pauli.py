@@ -221,6 +221,16 @@ class TestTextFormat:
         assert PauliSum.from_text("0.5 I").num_qubits == 1
         assert PauliSum.from_text("") == PauliSum((), 1)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1.0", "1.0"),
+        ("0.5 I\n  -2.5  \n1.0 Z0", "-2.5"),
+        ("0.5 I\nabc Z0", "abc Z0"),
+        ("1,5 X0", "1,5 X0"),
+    ], ids=["coefficient-only", "coefficient-only-line-2", "word-coefficient", "comma-coefficient"])
+    def test_bad_term_line_is_named(self, text, line):
+        with pytest.raises(ValueError, match=f"cannot parse term line {line!r}"):
+            PauliSum.from_text(text)
+
     def test_multi_line_sum_round_trip(self):
         # comments and blank lines are skipped; the widest string (Y2) sets the register
         text = "# a comment\n-0.5 I\n\n0.25 Z0X1\n  1.5 Y2\n-2 X0Z2\n"
