@@ -261,7 +261,8 @@ def estimate(
         table, index = _basis_table(state, all_strings)
         means = (signs * table.take(index, axis=-2)).sum(-1)
         stderrs = np.zeros(means.shape)
-        moments = zip(*(np.reshape(m, -1).tolist() for m in _exact_moments(state.amplitudes, h)))
+        # (energy, <H^2>, variance) of each point as Python floats
+        moments = iter(np.array(_exact_moments(state.amplitudes, h)).T.reshape(-1, 3).tolist())
     else:
         _check_int(shots)
         rngs = [_rng(s) for s in seeds]  # every seed checked before a state is prepared
