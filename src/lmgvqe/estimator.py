@@ -270,8 +270,7 @@ def estimate(
             circuit, points, all_strings, signs, shots, noise, mitigation, rngs
         )
     results = []
-    shape = (len(seeds), len(all_strings))  # one row per point
-    for m, e in zip(means.reshape(shape), stderrs.reshape(shape)):
+    for m, e in zip(means, stderrs) if means.ndim == 2 else [(means, stderrs)]:
         if shots is None:
             (energy, h_sq, variance), energy_stderr, h_sq_stderr = next(moments), 0.0, 0.0
         else:

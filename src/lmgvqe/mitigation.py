@@ -112,9 +112,10 @@ def _stacked(cal, counts: np.ndarray, leading: int):
     stacked with shapes (B, 1, ..., 1, 2^n, 2^n) and (B, 1, ..., 1, 1),
     ``leading`` axes before the matrix axes, so that each broadcasts over its
     own row.  A sequence of one is that one calibration, for every row."""
-    if isinstance(cal, ConfusionMatrix) or len(cal) == 1:
-        cal = cal if isinstance(cal, ConfusionMatrix) else cal[0]
+    if isinstance(cal, ConfusionMatrix):
         return cal.matrix, cal.shots_per_column
+    if len(cal) == 1:
+        return cal[0].matrix, cal[0].shots_per_column
     if counts.ndim < 2 or len(cal) != len(counts):
         raise ValueError(f"expected one calibration per row of counts of shape {counts.shape}")
     pad = (1,) * (leading - 1)
