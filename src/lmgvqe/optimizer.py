@@ -16,14 +16,14 @@ holds its only evaluation counts: before each evaluation it tests scipy's
 per-round ``maxfev`` cap, as scipy's wrapper does, and the start's budget.
 So one ``minimize_variance`` call advances any number of starts in lockstep:
 each round, every live start yields its next point, and one step,
-``_evaluate``, reads them all, as a sweep reads its grid.  The exact points
-share one batched ``run`` and one moment read
-(``estimator._exact_moments``), each row with the arithmetic of exact
-``estimate``.  The sampled points are grouped by config with the seed left
-out, and each group is one batched ``estimate`` in which each point is
-seeded by (its start's seed, its evaluation index) and keeps its own draws.
-So no start's trace depends on the others.  A trace's exact final result is
-one ``estimate``, and each trace records why it stopped.
+``_evaluate``, reads them all, as a sweep reads its grid.  The starts share
+one config but its seed, so a round is one read: exact, one batched ``run``
+and one moment read (``estimator._exact_moments``), each row with the
+arithmetic of exact ``estimate``; sampled, one batched ``estimate`` in which
+each point is seeded by (its start's seed, its evaluation index) and keeps
+its own draws.  So no start's trace depends on the others.  One exact
+``estimate`` after the last round reads every exact trace's final result,
+and each trace records why it stopped.
 
 ``discover_spectrum`` runs its seeded starts in one ``minimize_variance``
 call; ``_group`` groups the converged energies, ``_screen`` keeps each group
@@ -199,41 +199,32 @@ def _nelder_mead(x0: np.ndarray, step: float, xatol: float, fatol: float):
         sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
 
 
-def _evaluate(h, h2, circuit: Circuit, points, configs, indices) -> list:
+def _evaluate(h, h2, circuit: Circuit, points, config: EstimatorConfig, keys) -> list:
     """``(values, result)`` of each row of ``points``, with values
-    ``(energy, variance, energy_stderr, variance_stderr)`` read as its config
-    says.  The exact rows go through one batched ``run`` and one moment read,
-    each row with the arithmetic of exact ``estimate``, so its values equal
-    estimate's bit for bit; their result is None.  The sampled rows are
-    grouped by config with the seed left out, and each group is one batched
-    ``estimate``, each row seeded by (its config's seed, its evaluation
-    index).  The caller has checked the problem."""
+    ``(energy, variance, energy_stderr, variance_stderr)`` read as ``config``
+    says.  An exact read is one batched ``run`` and one moment read, each row
+    with the arithmetic of exact ``estimate``, so its values, +0.0 stderrs
+    included, equal estimate's bit for bit; its results are None.  A sampled
+    read is one batched ``estimate``, row i seeded by
+    ``SeedSequence(keys[i])``.  The caller has checked the problem."""
     points = np.asarray(points, dtype=float)
-    evaluated: list = [None] * len(points)
-    exact = [i for i, config in enumerate(configs) if config.exact]
-    if exact:
-        energy, _, variance = _exact_moments(run(circuit, points[exact]).amplitudes, h)
-        for i, e, v in zip(exact, energy.tolist(), variance.tolist()):
-            evaluated[i] = (e, v, 0.0, 0.0), None  # +0.0 stderrs, as exact estimate gives
-    groups: dict = {}
-    for i, config in enumerate(configs):
-        if not config.exact:
-            groups.setdefault((config.shots, config.noise, config.mitigation), []).append(i)
-    for (shots, noise, mitigation), rows in groups.items():
-        seeds = [np.random.SeedSequence((configs[i].seed, indices[i])) for i in rows]
-        results = estimate(circuit, points[rows], h, h2, shots, noise, mitigation, seed=seeds)
-        for i, r in zip(rows, results):
-            evaluated[i] = (r.energy, r.variance, r.energy_stderr, r.variance_stderr), r
-    return evaluated
+    if config.exact:
+        energy, _, variance = _exact_moments(run(circuit, points).amplitudes, h)
+        return [((e, v, 0.0, 0.0), None) for e, v in zip(energy.tolist(), variance.tolist())]
+    seeds = [np.random.SeedSequence(key) for key in keys]
+    results = estimate(
+        circuit, points, h, h2, config.shots, config.noise, config.mitigation, seed=seeds
+    )
+    return [((r.energy, r.variance, r.energy_stderr, r.variance_stderr), r) for r in results]
 
 
-def _search(h, h2, circuit, x0: np.ndarray, config: EstimatorConfig, budget: int):
+def _search(x0: np.ndarray, config: EstimatorConfig, budget: int):
     """One start's restarted search as an ask/tell generator: yields
     ``(parameters, index)`` for each evaluation, takes its ``(values,
-    result)`` by ``send`` (result None in exact mode) and returns the start's
-    ``RunTrace``.  It alone counts evaluations: before each one it ends the
-    round once ``maxfev`` points of the round are evaluated, as scipy's
-    wrapper does, and the search once ``budget`` points are."""
+    result)`` by ``send`` and returns the start's ``RunTrace``, its final
+    result None in exact mode.  It alone counts evaluations: before each one
+    it ends the round once ``maxfev`` points of the round are evaluated, as
+    scipy's wrapper does, and the search once ``budget`` points are."""
     k = len(x0)
     records: list[IterationRecord] = []
     # (|variance|, parameters, result); the result is None in exact mode
@@ -278,8 +269,6 @@ def _search(h, h2, circuit, x0: np.ndarray, config: EstimatorConfig, budget: int
 
     converged = reason == "converged"
     final_params, final_result = crossing if converged else best[1:]
-    if final_result is None:
-        final_result = estimate(circuit, final_params, h, h2)
     return RunTrace(
         iterations=records,
         converged=converged,
@@ -304,7 +293,8 @@ def minimize_variance(
     ``initial`` of shape (k,) runs one start with ``config`` and returns its
     ``RunTrace``.  Shape (B, k) runs B starts in lockstep, with ``config`` a
     sequence of one ``EstimatorConfig`` per start, and returns their traces
-    in order; each trace equals the one its start gives alone.
+    in order; each trace equals the one its start gives alone.  The configs
+    may differ only in ``seed``; any other difference raises ValueError.
 
     A start stops as soon as an evaluation satisfies |sigma^2| < threshold
     (1e-8 in exact mode, max(2 * stderr, 0.01) in sampled mode), or when its
@@ -323,14 +313,15 @@ def minimize_variance(
         raise ValueError(f"expected {k} initial parameters per start, got {np.shape(initial)}")
     if len(configs) != len(starts) or not all(isinstance(c, EstimatorConfig) for c in configs):
         raise ValueError(f"expected one EstimatorConfig per start, {len(starts)} in all")
+    if len({(c.shots, c.noise, c.mitigation) for c in configs}) > 1:
+        raise ValueError("the starts of one call must share shots, noise and mitigation")
     if budget is not None:
         _check_int(budget, "budget")
     _verify_problem(circuit, h, h2)
 
-    searches = [
-        _search(h, h2, circuit, x0, c, budget or (600 if c.exact else 200))
-        for x0, c in zip(starts, configs)
-    ]
+    config = configs[0]
+    budget = budget or (600 if config.exact else 200)
+    searches = [_search(x0, c, budget) for x0, c in zip(starts, configs)]
     traces: list[RunTrace | None] = [None] * len(searches)
     replies = dict.fromkeys(range(len(searches)))
     while replies:
@@ -341,10 +332,14 @@ def minimize_variance(
             except StopIteration as stop:
                 traces[i] = stop.value
         # one round: every live start's next point, read in one step
-        live = list(pending)
-        points, indices = [pending[i][0] for i in live], [pending[i][1] for i in live]
-        evaluated = _evaluate(h, h2, circuit, points, [configs[i] for i in live], indices)
-        replies = dict(zip(live, evaluated))
+        points = [point for point, _ in pending.values()]
+        keys = [(configs[i].seed, index) for i, (_, index) in pending.items()]
+        evaluated = _evaluate(h, h2, circuit, points, config, keys) if pending else []
+        replies = dict(zip(pending, evaluated))
+    if config.exact:  # one read of every trace's final point
+        points = [t.final_parameters for t in traces]
+        for trace, final in zip(traces, estimate(circuit, points, h, h2, seed=[0] * len(points))):
+            trace.final = final
     return traces[0] if single else traces
 
 
@@ -391,7 +386,8 @@ def sweep(
     _verify_problem(circuit, h, h2)
     points = np.tile(base, (len(grid), 1))
     points[:, parameter_index] = grid
-    evaluated = _evaluate(h, h2, circuit, points, [config] * len(grid), range(len(grid)))
+    keys = [(config.seed, i) for i in range(len(grid))]
+    evaluated = _evaluate(h, h2, circuit, points, config, keys)
     return [SweepPoint(float(angle), *values) for angle, (values, _) in zip(grid, evaluated)]
 
 

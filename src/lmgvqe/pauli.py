@@ -99,7 +99,7 @@ class PauliString:
         if text == "I":
             return cls(("I",) * (num_qubits or 1))
         pairs = re.findall(r"([IXYZ])(\d+)", text)
-        if "".join(f"{l}{q}" for l, q in pairs) != text:
+        if not pairs or "".join(f"{l}{q}" for l, q in pairs) != text:
             raise ValueError(f"cannot parse Pauli string {text!r}")
         qubits = [int(q) for _, q in pairs]
         if len(set(qubits)) != len(qubits):

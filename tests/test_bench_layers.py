@@ -1,10 +1,11 @@
-"""Every layer a benchmark workload declares records a call.
+"""The benchmark's own gates on each workload's first op.
 
 The traced benchmark run fails a workload when one of its declared
 ``LAYERS`` records no call, for instance after a refactor stops calling a
-traced binding.  This test runs each workload's set-up and its first op
-under the benchmark's own tracer, so such a break shows in the test suite.
-The op's result is not inspected here: the benchmark's oracle checks do that.
+traced binding; every run fails it when an op's result fails the workload's
+oracle checks (``inspect``) or a repeat of op 0 gives a different result.
+These tests run each workload's set-up and its first op at seed 0 through
+the same checks, so such a break shows in the test suite.
 """
 
 import sys
@@ -35,3 +36,18 @@ def test_declared_layers_record_calls(name, tmp_path):
     finally:
         workload.close()
     assert [layer for layer in workload.LAYERS if not tracer.layer_calls[layer]] == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_first_op_is_correct_and_repeats_bit_for_bit(name, tmp_path):
+    workload = workloads.WORKLOADS[name](seed=0, root=tmp_path)
+    try:
+        workload.setup()
+        outcomes = []
+        for _ in range(2):
+            args = workload.inputs(0)
+            outcomes.append(workload.inspect(args, workload.op(args)))
+    finally:
+        workload.close()
+    assert [outcome.failures for outcome in outcomes] == [[], []]
+    assert outcomes[0].fingerprint and outcomes[1].fingerprint == outcomes[0].fingerprint

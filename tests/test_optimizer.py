@@ -192,36 +192,29 @@ class TestExactObjective:
             -np.pi, np.pi, (200, setup.circuit.num_parameters)
         )
         # one batched read of all 200 points, each row against its own estimate
-        evaluated = _evaluate(
-            setup.h, setup.h2, setup.circuit, points, [EXACT] * len(points), range(len(points))
-        )
+        keys = [(EXACT.seed, i) for i in range(len(points))]
+        evaluated = _evaluate(setup.h, setup.h2, setup.circuit, points, EXACT, keys)
         assert len(evaluated) == len(points)
         for params, ((energy, variance, *stderrs), result) in zip(points, evaluated):
             expected = estimate(setup.circuit, tuple(params.tolist()), setup.h, setup.h2)
             assert stderrs == [0.0, 0.0] and result is None
             assert repr((energy, variance)) == repr((expected.energy, expected.variance))
 
-    def test_mixed_batch_rows_equal_their_own_estimates(self, n7_a):
-        # exact rows read together, each sampled row seeded by (its seed, its index)
+    def test_sampled_rows_equal_their_own_estimates(self, n7_a):
+        # one batched read, each row seeded by its own (seed, index) key
         points = np.random.default_rng(32).uniform(-np.pi, np.pi, (5, 3))
-        configs = [
-            EXACT,
-            EstimatorConfig(shots=500, seed=4),
-            EXACT,
-            EstimatorConfig(
-                shots=800, noise=NoiseModel(0.02, 0.02, 0.01),
-                mitigation=Mitigation(readout=True, cnot=True), seed=9,
-            ),
-            EstimatorConfig(shots=500, seed=4),
-        ]
-        indices = [0, 3, 7, 2, 11]
-        evaluated = _evaluate(n7_a.h, n7_a.h2, n7_a.circuit, points, configs, indices)
-        for params, config, index, (values, result) in zip(points, configs, indices, evaluated):
+        config = EstimatorConfig(
+            shots=800, noise=NoiseModel(0.02, 0.02, 0.01),
+            mitigation=Mitigation(readout=True, cnot=True), seed=9,
+        )
+        keys = [(4, 0), (4, 3), (9, 7), (9, 2), (1, 11)]
+        evaluated = _evaluate(n7_a.h, n7_a.h2, n7_a.circuit, points, config, keys)
+        for params, key, (values, result) in zip(points, keys, evaluated):
             expected = estimate(
                 n7_a.circuit, params, n7_a.h, n7_a.h2, shots=config.shots, noise=config.noise,
-                mitigation=config.mitigation, seed=np.random.SeedSequence((config.seed, index)),
+                mitigation=config.mitigation, seed=np.random.SeedSequence(key),
             )
-            assert (result is None) if config.exact else (repr(result) == repr(expected))
+            assert repr(result) == repr(expected)
             assert repr(values) == repr((
                 expected.energy, expected.variance, expected.energy_stderr,
                 expected.variance_stderr,
@@ -312,6 +305,19 @@ class TestInputRejectedBeforeAnyRecord:
                 minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), starts, config)
         with pytest.raises(ValueError, match="initial parameters"):
             minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), np.zeros((2, 2)), [EXACT] * 2)
+        # the starts of one call differ only in seed
+        sampled = EstimatorConfig(
+            shots=500, noise=NoiseModel(0.02, 0.02), mitigation=Mitigation(readout=True)
+        )
+        for other in (
+            EXACT,
+            replace(sampled, shots=400),
+            replace(sampled, noise=NoiseModel(0.02, 0.01)),
+            replace(sampled, mitigation=Mitigation()),
+        ):
+            configs = [sampled, replace(other, seed=1)]
+            with pytest.raises(ValueError, match="share shots, noise and mitigation"):
+                minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), starts, configs)
         assert records == []
 
     def test_nan_initial_parameter(self, n3_a, records):
@@ -427,9 +433,15 @@ class TestLockstepStarts:
         for i in (0, 1, 17, 39):
             assert repr(full.traces[i]) == repr(self.alone(setup, config, 8, i))
 
-    def test_batched_call_returns_one_trace_per_start(self, n7_a):
+    @pytest.mark.parametrize("config", [
+        EXACT,
+        EstimatorConfig(
+            shots=500, noise=NoiseModel(0.02, 0.02), mitigation=Mitigation(readout=True)
+        ),
+    ], ids=["exact", "sampled"])
+    def test_batched_call_returns_one_trace_per_start(self, n7_a, config):
         starts = np.random.default_rng(2).uniform(-np.pi, np.pi, (3, 3))
-        configs = [EXACT, EstimatorConfig(shots=500, seed=4), EXACT]
+        configs = [replace(config, seed=seed) for seed in (4, 1, 7)]
         traces = minimize_variance(n7_a.h, n7_a.h2, n7_a.circuit, starts, configs, budget=40)
         alone = [
             minimize_variance(n7_a.h, n7_a.h2, n7_a.circuit, x, c, budget=40)
@@ -438,25 +450,32 @@ class TestLockstepStarts:
         assert repr(traces) == repr(alone)
 
 
+def _recorded_estimate(monkeypatch):
+    """The seed argument of every ``estimate`` call the optimizer makes."""
+    seeds = []
+
+    def recording(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer_module, "estimate", recording)
+    return seeds
+
+
 class TestOneEstimatePerRound:
-    """A lockstep round reads its sampled points with one ``estimate`` call
-    per config, the seed left out; every point keeps its own draws."""
+    """A lockstep round reads its sampled points with one ``estimate`` call;
+    every point keeps its own draws."""
 
     def test_sampled_spectrum_makes_one_estimate_call_per_round(self, n3_a, monkeypatch):
         import lmgvqe.estimator as estimator_module
         import lmgvqe.mitigation as mitigation_module
 
-        batches, draws = [], Counter()
-
-        def counting_estimate(*args, **kwargs):
-            batches.append(len(kwargs["seed"]))
-            return estimate(*args, **kwargs)
+        seeds, draws = _recorded_estimate(monkeypatch), Counter()
 
         def counting_measure_term(distribution, shots, seed=0):
             draws["measure_term"] += 1
             return measure_term(distribution, shots, seed)
 
-        monkeypatch.setattr(optimizer_module, "estimate", counting_estimate)
         monkeypatch.setattr(estimator_module, "measure_term", counting_measure_term)
         monkeypatch.setattr(mitigation_module, "measure_term", counting_measure_term)
         config = EstimatorConfig(
@@ -465,37 +484,40 @@ class TestOneEstimatePerRound:
         report = discover_spectrum(n3_a.h, n3_a.h2, ansatz_1q(), 8, config, master_seed=4)
         evaluations = [len(t.iterations) for t in report.traces]
         # one call per round, and a start is live in its first len(iterations) rounds
+        batches = [len(s) for s in seeds]
         assert batches == [sum(n > r for n in evaluations) for r in range(max(evaluations))]
         terms = len(n3_a.h.measured_terms) + len(n3_a.h2.measured_terms)
         assert draws["measure_term"] == sum(evaluations) * (terms + 2)  # + 2 calibration columns
 
-    def test_mixed_configs_give_each_start_its_trace_alone(self, n7_a, monkeypatch):
-        mitigation = Mitigation(readout=True, cnot=True, folds=(1, 3))
-        configs = [
-            EstimatorConfig(shots=1000, seed=1),
-            EstimatorConfig(shots=3000, seed=2),
-            EstimatorConfig(
-                shots=1000, noise=NoiseModel(0.02, 0.02, 0.01), mitigation=mitigation, seed=3
-            ),
-            EstimatorConfig(shots=1000, seed=4),
-            EXACT,
-        ]
-        starts = np.random.default_rng(6).uniform(-np.pi, np.pi, (5, 3))
-        alone = [
-            minimize_variance(n7_a.h, n7_a.h2, n7_a.circuit, x, c, budget=30)
-            for x, c in zip(starts, configs)
-        ]
-        batches = []
 
-        def counting_estimate(*args, **kwargs):
-            if isinstance(kwargs.get("seed"), list):
-                batches.append(len(kwargs["seed"]))
-            return estimate(*args, **kwargs)
+class TestExactFinalsInOneRead:
+    """An exact lockstep call reads every trace's final point in one
+    ``estimate``; a sampled one keeps the result read with the final point."""
 
-        monkeypatch.setattr(optimizer_module, "estimate", counting_estimate)
+    def test_exact_spectrum_reads_its_finals_once(self, n7_a, monkeypatch):
+        seeds = _recorded_estimate(monkeypatch)
+        report = discover_spectrum(n7_a.h, n7_a.h2, n7_a.circuit, 8, EXACT, master_seed=3)
+        assert seeds == [[0] * 8]
+        for trace in report.traces:
+            single = estimate(n7_a.circuit, trace.final_parameters, n7_a.h, n7_a.h2)
+            assert repr(trace.final) == repr(single)
+
+    def test_sampled_lockstep_reads_nothing_after_its_last_round(self, n7_a, monkeypatch):
+        seeds = _recorded_estimate(monkeypatch)
+        config = EstimatorConfig(shots=500, noise=NoiseModel(0.02, 0.02, 0.01))
+        starts = np.random.default_rng(6).uniform(-np.pi, np.pi, (4, 3))
+        configs = [replace(config, seed=seed) for seed in range(4)]
         traces = minimize_variance(n7_a.h, n7_a.h2, n7_a.circuit, starts, configs, budget=30)
-        assert repr(traces) == repr(alone)
-        assert batches[:3] == [2, 1, 1]  # the two 1000-shot noiseless starts share a call
+        assert len(seeds) == max(len(t.iterations) for t in traces)
+        for trace in traces:
+            # the crossing is the last evaluation, else the first of least |variance|
+            variances = [abs(r.variance) for r in trace.iterations]
+            index = len(variances) - 1 if trace.converged else variances.index(min(variances))
+            single = estimate(
+                n7_a.circuit, trace.final_parameters, n7_a.h, n7_a.h2, config.shots, config.noise,
+                seed=np.random.SeedSequence((trace.seed, index)),
+            )
+            assert repr(trace.final) == repr(single)
 
 
 class TestSweep:

@@ -208,6 +208,9 @@ class TestTextFormat:
         (lambda: PauliString(()), "needs at least one qubit"),
         (lambda: PauliString(("Z", "Q")), "invalid Pauli label 'Q'"),
         (lambda: PauliString.from_text("Z2", num_qubits=2), "qubit index out of range"),
+        (lambda: PauliString.from_text(""), "cannot parse Pauli string ''"),
+        (lambda: PauliString.from_text("   ", 2), "cannot parse Pauli string ''"),
+        (lambda: PauliSum.from_text("1.0 Z0").coefficient(""), "cannot parse Pauli string ''"),
     ])
     def test_malformed_strings_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
