@@ -18,7 +18,7 @@ on the cached dense matrix of H (``_exact_moments``): <H> = psi . H psi,
 eigen-residual, which cannot go negative or lose digits to the
 cancellation of <H^2> - <H>^2.  The read takes one state or a batch, with
 the same arithmetic on every row.  Each exact term mean is s . p on the
-ideal table the sampled path draws from.
+ideal table the sampled path draws from, built one point at a time.
 
 ``estimate`` reads one point, or a batch of points with one seed per
 point; a single point is the batch of one.  In sampled mode one call
@@ -235,9 +235,9 @@ def estimate(
     ``EstimationResult``.  Shape (B, k) with ``seed`` a list or tuple of B
     seeds returns B results in order, each equal bit for bit to the single
     call at its point with its seed; a batch with any other seed is rejected
-    before a state is prepared.  One call checks the problem, prepares the
-    states and builds their tables once for the whole batch; each point
-    keeps its own stream, calibration and draws.
+    before a state is prepared.  One call checks the problem and prepares
+    the states once for the whole batch, a sampled call their tables too;
+    each point keeps its own stream, calibration and draws.
 
     ``h2`` must be the operator square of ``h``; their dense matrices are
     compared on every call.  Exact variances are squared norms, never
@@ -258,9 +258,10 @@ def estimate(
         for s in seeds:
             _check_seed(s)  # the sampled path's rule, though nothing is drawn
         state = run(circuit, points)
-        table, index = _basis_table(state, all_strings)
-        means = (signs * table.take(index, axis=-2)).sum(-1)
-        stderrs = np.zeros(means.shape)
+        rows = [state] if points.ndim == 1 else map(Statevector, state.amplitudes)
+        tables = (_basis_table(row, all_strings) for row in rows)  # one point's at a time
+        means = [(signs * table.take(index, axis=-2)).sum(-1) for table, index in tables]
+        stderrs = [np.zeros(len(all_strings))] * len(means)
         # (energy, <H^2>, variance) of each point as Python floats
         moments = iter(np.array(_exact_moments(state.amplitudes, h)).T.reshape(-1, 3).tolist())
     else:
@@ -269,8 +270,9 @@ def estimate(
         means, stderrs = _sampled_term_means(
             circuit, points, all_strings, signs, shots, noise, mitigation, rngs
         )
+        means, stderrs = ([means], [stderrs]) if points.ndim == 1 else (means, stderrs)
     results = []
-    for m, e in zip(means, stderrs) if means.ndim == 2 else [(means, stderrs)]:
+    for m, e in zip(means, stderrs):
         if shots is None:
             (energy, h_sq, variance), energy_stderr, h_sq_stderr = next(moments), 0.0, 0.0
         else:

@@ -30,6 +30,7 @@ import lmgvqe.simulator as simulator_module
 from lmgvqe import accidental_zero_check
 from lmgvqe.estimator import _term_estimates
 from lmgvqe.pauli import PauliString, PauliSum, decompose, string_matrix
+from lmgvqe.simulator import _basis_table
 
 from conftest import N3_A_EIGS, eigenstate_parameters_1q, eigenstate_parameters_2q
 
@@ -727,6 +728,18 @@ class TestBatchedEstimate:
         assert [repr(r) for r in batch] == [
             repr(estimate(setup.circuit, p, setup.h, setup.h2)) for p in points
         ]
+
+    def test_exact_batch_builds_one_point_table_at_a_time(self, n7_a, monkeypatch):
+        shapes = []
+
+        def recorded(state, terms):
+            shapes.append(state.amplitudes.shape)
+            return _basis_table(state, terms)
+
+        monkeypatch.setattr(estimator_module, "_basis_table", recorded)
+        points = np.random.default_rng(19).uniform(-np.pi, np.pi, (8, 3))
+        estimate(n7_a.circuit, points, n7_a.h, n7_a.h2, seed=[0] * 8)
+        assert shapes == [(4,)] * 8
 
     def test_one_preparation_and_per_point_draws(self, n7_a, monkeypatch):
         import lmgvqe.mitigation as mitigation_module
