@@ -10,7 +10,7 @@ whose global zeros are exactly the eigenstates.
 
 from .analysis import EigenDecomposition, eigensolve, fidelity, overlap_table
 from .circuits import Circuit, Gate, Statevector, ansatz_1q, ansatz_2q, fold_cnots, run
-from .estimator import EstimationResult, estimate, expectation_exact, expectation_from_counts
+from .estimator import EstimationResult, estimate
 from .mitigation import (
     ConfusionMatrix,
     Mitigation,
@@ -28,7 +28,7 @@ from .optimizer import (
     minimize_variance,
     sweep,
 )
-from .pauli import PauliString, PauliSum, decompose, multiply, parity_signs, reconstruct
+from .pauli import PauliString, PauliSum, decompose, multiply, parity_signs
 from .quasispin import (
     ModelParams,
     QuasispinBlock,
@@ -36,25 +36,19 @@ from .quasispin import (
     ladder_squared_element,
     square_block,
 )
-from .simulator import (
-    DEFAULT_SYNTHETIC_NOISE,
-    NOISELESS,
-    NoiseModel,
-    measure_term,
-    outcome_distributions,
-)
+from .simulator import DEFAULT_SYNTHETIC_NOISE, NOISELESS, NoiseModel, measure_term
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams", "QuasispinBlock", "build_blocks", "ladder_squared_element", "square_block",
-    "PauliString", "PauliSum", "decompose", "reconstruct", "multiply",
+    "PauliString", "PauliSum", "decompose", "multiply",
     "Gate", "Circuit", "Statevector", "ansatz_1q", "ansatz_2q", "run", "fold_cnots",
     "NoiseModel", "NOISELESS", "DEFAULT_SYNTHETIC_NOISE",
-    "outcome_distributions", "measure_term", "parity_signs", "expectation_from_counts",
+    "measure_term", "parity_signs",
     "Mitigation", "MitigationError", "ConfusionMatrix",
     "calibrate", "mitigate_counts", "cnot_extrapolate",
-    "EstimationResult", "estimate", "expectation_exact",
+    "EstimationResult", "estimate",
     "EstimatorConfig", "RunTrace", "SpectrumReport",
     "minimize_variance", "sweep", "discover_spectrum", "accidental_zero_check",
     "EigenDecomposition", "eigensolve", "fidelity", "overlap_table",

@@ -50,22 +50,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Statevector, _check_int, _single_point, fold_cnots, run
-from .mitigation import (
-    ConfusionMatrix, Mitigation, _stacked, calibrate, cnot_extrapolate, mitigate_counts
-)
-from .pauli import PauliString, PauliSum, parity_signs
+from .mitigation import Mitigation, _stacked, calibrate, cnot_extrapolate, mitigate_counts
+from .pauli import PauliString, PauliSum
 from .simulator import (
     NOISELESS,
     NoiseModel,
     _basis_table,
     _check_seed,
-    _checked_counts,
     _noisy_rows,
     _rng,
     measure_term,
 )
 
-__all__ = ["EstimationResult", "expectation_exact", "expectation_from_counts", "estimate"]
+__all__ = ["EstimationResult", "estimate"]
 
 SQUARE_CHECK_TOL = 1e-8
 
@@ -111,17 +108,6 @@ def _exact_moments(amps: np.ndarray, h: PauliSum):
     return energy, h_squared, (residual.conj() * residual).sum(-1).real
 
 
-def expectation_exact(state: Statevector, observable: PauliSum) -> float:
-    """<psi|O|psi> of one state from its amplitudes, exact to machine precision."""
-    if state.amplitudes.ndim != 1:
-        raise ValueError(f"expected one state, got a batch of shape {state.amplitudes.shape}")
-    if observable.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"observable acts on {observable.num_qubits} qubits, state has {state.num_qubits}"
-        )
-    return float(_exact_moments(state.amplitudes, observable)[0])
-
-
 def _reject_noise_in_exact_mode(noise: NoiseModel, mitigation: Mitigation) -> None:
     if noise != NOISELESS or mitigation.readout or mitigation.cnot:
         raise ValueError("exact mode (shots=None) models no noise and applies no mitigation")
@@ -149,20 +135,6 @@ def _term_estimates(counts: np.ndarray, signs: np.ndarray, cal):
         p = 2.0 / (shots + 4.0)
         var = np.where(one_sign, np.maximum(var, 4.0 * p * (1.0 - p) / (shots + 4.0)), var)
     return mean, np.sqrt(np.maximum(var, 0.0))
-
-
-def expectation_from_counts(
-    counts, term: PauliString, cal: ConfusionMatrix | None = None
-) -> tuple[float, float]:
-    """Estimate <term> and its standard error from one count vector, with
-    readout mitigation when a calibration is given."""
-    counts, _ = _checked_counts(counts, term.num_qubits)
-    if counts.ndim != 1:
-        raise ValueError(f"expected one count vector, got shape {counts.shape}")
-    if term.is_identity:
-        return 1.0, 0.0
-    mean, stderr = _term_estimates(counts[None], parity_signs(term)[None], cal)
-    return float(mean[0]), float(stderr[0])
 
 
 def _combine(const: float, betas: np.ndarray, means: np.ndarray, stderrs: np.ndarray):

@@ -14,21 +14,17 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
 
-from .circuits import _check_int
-
 __all__ = [
     "PAULI_LABELS",
     "PauliString",
     "PauliSum",
     "decompose",
-    "reconstruct",
     "multiply",
     "parity_signs",
 ]
@@ -90,28 +86,6 @@ class PauliString:
         parts = [f"{l}{q}" for q, l in enumerate(self.labels) if l != "I"]
         return "".join(parts) if parts else "I"
 
-    @classmethod
-    def from_text(cls, text: str, num_qubits: int | None = None) -> "PauliString":
-        """Parse a subscripted form such as "Z0X1" or "I"."""
-        text = text.strip()
-        if num_qubits is not None:
-            _check_int(num_qubits, "num_qubits")
-        if text == "I":
-            return cls(("I",) * (num_qubits or 1))
-        pairs = re.findall(r"([IXYZ])(\d+)", text)
-        if not pairs or "".join(f"{l}{q}" for l, q in pairs) != text:
-            raise ValueError(f"cannot parse Pauli string {text!r}")
-        qubits = [int(q) for _, q in pairs]
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"repeated qubit index in {text!r}")
-        n = num_qubits if num_qubits is not None else max(qubits) + 1
-        if max(qubits) >= n:
-            raise ValueError(f"qubit index out of range in {text!r}")
-        labels = ["I"] * n
-        for l, q in pairs:
-            labels[int(q)] = l
-        return cls(tuple(labels))
-
 
 def identity_string(num_qubits: int) -> PauliString:
     return PauliString(("I",) * num_qubits)
@@ -169,9 +143,11 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, string: PauliString | str) -> float | complex:
-        if isinstance(string, str):
-            string = PauliString.from_text(string, self.num_qubits)
+    def coefficient(self, string: PauliString) -> float | complex:
+        """Weight of ``string`` in the sum, 0.0 where it has none; anything
+        but a string on the sum's register raises ValueError."""
+        if not isinstance(string, PauliString) or string.num_qubits != self.num_qubits:
+            raise ValueError(f"expected a Pauli string on {self.num_qubits} qubits, got {string!r}")
         for coeff, s in self.terms:
             if s == string:
                 return coeff
@@ -188,7 +164,7 @@ class PauliSum:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense matrix, read-only; :func:`reconstruct` returns a copy."""
+        """Dense matrix, read-only: the inverse of :func:`decompose`."""
         dim = 2**self.num_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for coeff, string in self.terms:
@@ -226,25 +202,6 @@ class PauliSum:
     def to_text(self, digits: int = 9) -> str:
         """One term per line, ``<coeff> <string>``."""
         return "\n".join(f"{coeff:.{digits}g} {string}" for coeff, string in self.terms)
-
-    @classmethod
-    def from_text(cls, text: str, num_qubits: int | None = None) -> "PauliSum":
-        parsed = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            try:
-                parsed.append((float(parts[0]), parts[1].strip()))
-            except (IndexError, ValueError):
-                raise ValueError(
-                    f"cannot parse term line {line!r}: expected a coefficient and a Pauli string"
-                ) from None
-        if num_qubits is None:  # the widest string, read by PauliString's grammar
-            num_qubits = max((PauliString.from_text(s).num_qubits for _, s in parsed), default=1)
-        terms = [(c, PauliString.from_text(s, num_qubits)) for c, s in parsed]
-        return cls.from_terms(terms, num_qubits)
 
 
 @lru_cache(maxsize=8)
@@ -285,11 +242,6 @@ def decompose(matrix: np.ndarray) -> PauliSum:
         if abs(beta) >= PRUNE_THRESHOLD:
             terms.append((float(beta.real), string))
     return PauliSum(tuple(terms), num_qubits)
-
-
-def reconstruct(psum: PauliSum) -> np.ndarray:
-    """Dense matrix of a Pauli sum; inverse of :func:`decompose`."""
-    return psum.matrix.copy()
 
 
 def multiply(a: PauliSum, b: PauliSum) -> PauliSum:

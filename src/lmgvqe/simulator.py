@@ -2,19 +2,18 @@
 
 Each Pauli term is measured with its own circuit: the ansatz circuit is
 followed by a basis-change rotation on every qubit where the term acts with
-X or Y, then all qubits are read out in the computational basis.
-``outcome_distributions`` computes the exact noisy outcome distribution of
-every term's measurement circuit as one table, in two halves:
-``_basis_table`` rotates a prepared state into every distinct basis at once,
-giving a table of ideal distributions, and ``_noisy_rows`` mixes in the
-noise of a CNOT count and the readout, then gathers one row per term.  Both
-halves also take a leading batch axis, one table per state.  The estimator
-prepares the states once per ``estimate`` call and runs the first half once,
-the second once per CNOT fold.  With no CNOT noise to mix in (survival 1)
-the second half reuses the table itself, and the readout matrix maps each
-basis row by its own matrix-vector product, stacked into one call.
-``measure_term`` samples one row with a single multinomial draw; every draw
-of an estimate comes from one Generator.
+X or Y, then all qubits are read out in the computational basis.  The exact
+noisy outcome distribution of every term's measurement circuit is one table,
+built in two halves: ``_basis_table`` rotates a prepared state into every
+distinct basis at once, giving a table of ideal distributions, and
+``_noisy_rows`` mixes in the noise of a CNOT count and the readout, then
+gathers one row per term.  Both halves also take a leading batch axis, one
+table per state.  The estimator prepares the states once per ``estimate``
+call and runs the first half once, the second once per CNOT fold.  With no
+CNOT noise to mix in (survival 1) the second half reuses the table itself,
+and the readout matrix maps each basis row by its own matrix-vector product,
+stacked into one call.  ``measure_term`` samples one row with a single
+multinomial draw; every draw of an estimate comes from one Generator.
 
 The rotations are compiled once per term tuple (``_basis_program``), as
 ``Circuit._program`` compiles a circuit: step q applies every row's basis
@@ -44,13 +43,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuits import Circuit, Statevector, _check_int, _single_point, ry_matrix, run
+from .circuits import Statevector, _check_int, ry_matrix
 
-__all__ = [
-    "NoiseModel",
-    "measure_term",
-    "outcome_distributions",
-]
+__all__ = ["NoiseModel", "measure_term"]
 
 # maps the +1 eigenbasis of X (resp. Y) onto the computational basis
 _X_BASIS_CHANGE = ry_matrix(-np.pi / 2.0)
@@ -173,19 +168,6 @@ def _noisy_rows(table: np.ndarray, index: np.ndarray, num_cnots: int, noise: Noi
         # one matrix-matrix product may round differently
         mixed = (_readout_matrix(noise, n) @ mixed[..., None])[..., 0]
     return mixed.take(index, axis=-2)
-
-
-def outcome_distributions(
-    circuit: Circuit, parameters, terms, noise: NoiseModel = NOISELESS
-) -> np.ndarray:
-    """Exact read-outcome distribution of each term's measurement circuit,
-    shape (len(terms), 2^n): ``_noisy_rows`` of the ``_basis_table`` of the
-    prepared state, for one point."""
-    parameters = _single_point(circuit, parameters)
-    if not len(terms):  # nothing to measure, so no state to prepare
-        return np.empty((0, 2**circuit.num_qubits))
-    table, index = _basis_table(run(circuit, parameters), terms)
-    return _noisy_rows(table, index, circuit.num_cnots, noise)
 
 
 def _check_seed(seed) -> None:

@@ -9,8 +9,10 @@ tables for cross-checks at their printed precision.
 import numpy as np
 import pytest
 
-from lmgvqe import ModelParams, ansatz_1q, ansatz_2q, build_blocks, square_block
-from lmgvqe.pauli import decompose
+from lmgvqe import NOISELESS, ModelParams, ansatz_1q, ansatz_2q, build_blocks, run, square_block
+from lmgvqe.estimator import _term_estimates
+from lmgvqe.pauli import decompose, parity_signs
+from lmgvqe.simulator import _basis_table, _noisy_rows
 
 SQRT3 = np.sqrt(3.0)
 
@@ -123,3 +125,17 @@ def eigenstate_parameters_2q(vector):
     alpha = np.arctan2(x[1], x[0]) if r01 > 1e-12 else 0.0
     beta = np.arctan2(-x[3], x[2]) if r23 > 1e-12 else 0.0
     return (alpha + beta, t1, alpha - beta)
+
+
+def outcome_rows(circuit, params, terms, noise=NOISELESS):
+    """Exact read-outcome distribution of each term's measurement circuit at
+    one point, shape (len(terms), 2^n): the estimator's two table halves."""
+    table, index = _basis_table(run(circuit, params), terms)
+    return _noisy_rows(table, index, circuit.num_cnots, noise)
+
+
+def term_estimate(counts, term, cal=None):
+    """Mean and standard error of one term from one count vector, readout
+    corrected when a calibration is given: the estimator's per-term formula."""
+    mean, stderr = _term_estimates(np.asarray(counts)[None], parity_signs(term)[None], cal)
+    return float(mean[0]), float(stderr[0])

@@ -26,14 +26,11 @@ from lmgvqe import (
     decompose,
     eigensolve,
     estimate,
-    expectation_from_counts,
     measure_term,
     minimize_variance,
     mitigate_counts,
     multiply,
-    outcome_distributions,
     parity_signs,
-    reconstruct,
     run,
 )
 from lmgvqe.cli import main
@@ -48,6 +45,8 @@ from conftest import (
     N7_PAULI_PRINTED,
     N7_SQ_PAULI_PRINTED,
     eigenstate_parameters_2q,
+    outcome_rows,
+    term_estimate,
 )
 
 
@@ -69,10 +68,10 @@ def test_criterion_1_encoding_regression(n3_a, n3_b, n7_a):
         assert set(found) == set(reference)
         for name, value in reference.items():
             assert found[name] == pytest.approx(value, abs=tol)
-    # internal full-precision recomputation: encode, reconstruct, re-encode
+    # internal full-precision recomputation: encode, rebuild the dense matrix, re-encode
     for setup in (n3_a, n3_b, n7_a):
         for psum in (setup.h, setup.h2):
-            again = coefficients(decompose(reconstruct(psum)))
+            again = coefficients(decompose(psum.matrix))
             for name, value in coefficients(psum).items():
                 assert again[name] == pytest.approx(value, abs=1e-9)
     print("\nACCEPTANCE 1 (encoding regression, N=3 and N=7): PASS")
@@ -161,9 +160,9 @@ def test_criterion_5_readout_mitigation_efficacy():
         trial_ok = True
         for k, (true_value, circuit) in enumerate(prepared.items()):
             cal = calibrate(1, noise, shots, seed=10_000 + 2 * seed + k)
-            dist = outcome_distributions(circuit, (), [z0], noise)[0]
+            dist = outcome_rows(circuit, (), [z0], noise)[0]
             result = measure_term(dist, shots, 20_000 + 2 * seed + k)
-            raw, _ = expectation_from_counts(result, z0)
+            raw, _ = term_estimate(result, z0)
             mitigated = parity_signs(z0) @ mitigate_counts(result, cal)
             if abs(mitigated - true_value) > abs(raw - true_value) / 5.0:
                 trial_ok = False
@@ -213,7 +212,7 @@ def test_criterion_7b_pauli_round_trip():
         dim = 2 if case < 50 else 4
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = (m + m.conj().T) / 2.0
-        np.testing.assert_allclose(reconstruct(decompose(m)), m, atol=1e-10)
+        np.testing.assert_allclose(decompose(m).matrix, m, atol=1e-10)
     print("ACCEPTANCE 7b (Pauli round trip, 100 random Hermitian, 1e-10): PASS")
 
 

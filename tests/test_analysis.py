@@ -10,7 +10,6 @@ from lmgvqe import (
     eigensolve,
     fidelity,
     overlap_table,
-    reconstruct,
 )
 from lmgvqe.analysis import HARDWARE_REFERENCE
 
@@ -81,7 +80,7 @@ class TestEigensolve:
 
     def test_oracle_self_consistency_through_encoding(self, n7_a):
         direct = eigensolve(n7_a.block.matrix).eigenvalues
-        encoded = eigensolve(reconstruct(decompose(n7_a.block.matrix))).eigenvalues
+        encoded = eigensolve(decompose(n7_a.block.matrix).matrix).eigenvalues
         np.testing.assert_allclose(encoded, direct, atol=1e-9)
 
     def test_rejects_non_symmetric(self):

@@ -2,8 +2,10 @@
 
 The traced benchmark run fails a workload when one of its declared
 ``LAYERS`` records no call, for instance after a refactor stops calling a
-traced binding; every run fails it when an op's result fails the workload's
-oracle checks (``inspect``) or a repeat of op 0 gives a different result.
+traced binding, or when the traced shots differ from the shots the op's
+configuration asks for; every run fails it when an op's result fails the
+workload's oracle checks (``inspect``) or a repeat of op 0 gives a
+different result.
 These tests run each workload's set-up and its first op at seed 0 through
 the same checks, so such a break shows in the test suite.
 """
@@ -32,10 +34,14 @@ def test_declared_layers_record_calls(name, tmp_path):
         with tracing.Tracer() as tracer:
             workload.setup()
             tracer.op = 0
-            workload.op(workload.inputs(0))
+            args = workload.inputs(0)
+            result = workload.op(args)
+        outcome = workload.inspect(args, result)
     finally:
         workload.close()
     assert [layer for layer in workload.LAYERS if not tracer.layer_calls[layer]] == []
+    # the traced run's shot rule: every shot the op draws is one its configuration asks for
+    assert tracer.shots.total() == outcome.shots
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

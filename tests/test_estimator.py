@@ -15,11 +15,8 @@ from lmgvqe import (
     ansatz_2q,
     calibrate,
     estimate,
-    expectation_exact,
-    expectation_from_counts,
     fold_cnots,
     measure_term,
-    outcome_distributions,
     parity_signs,
     run,
     square_block,
@@ -28,28 +25,30 @@ import lmgvqe.estimator as estimator_module
 import lmgvqe.optimizer as optimizer_module
 import lmgvqe.simulator as simulator_module
 from lmgvqe import accidental_zero_check
-from lmgvqe.estimator import _term_estimates
+from lmgvqe.estimator import _exact_moments, _term_estimates
 from lmgvqe.pauli import PauliString, PauliSum, decompose, string_matrix
 from lmgvqe.simulator import _basis_table
 
-from conftest import N3_A_EIGS, eigenstate_parameters_1q, eigenstate_parameters_2q
+from conftest import (
+    N3_A_EIGS, eigenstate_parameters_1q, eigenstate_parameters_2q, outcome_rows, term_estimate,
+)
 
 
 class TestExpectationExact:
     def test_diagonal_elements_via_basis_states(self, n3_a):
-        assert expectation_exact(run(ansatz_1q(), [0.0]), n3_a.h) == pytest.approx(-1.5)
-        assert expectation_exact(run(ansatz_1q(), [np.pi]), n3_a.h) == pytest.approx(0.5)
+        assert estimate(ansatz_1q(), [0.0], n3_a.h, n3_a.h2).energy == pytest.approx(-1.5)
+        assert estimate(ansatz_1q(), [np.pi], n3_a.h, n3_a.h2).energy == pytest.approx(0.5)
 
     def test_ground_state_energy(self, n3_a):
         ground = np.linalg.eigh(n3_a.block.matrix)[1][:, 0]
         theta = eigenstate_parameters_1q(ground)
-        state = run(ansatz_1q(), [theta])
-        assert expectation_exact(state, n3_a.h) == pytest.approx(N3_A_EIGS[0], abs=1e-6)
-        assert expectation_exact(state, n3_a.h) == pytest.approx(-1.823, abs=1e-3)
+        energy = estimate(ansatz_1q(), [theta], n3_a.h, n3_a.h2).energy
+        assert energy == pytest.approx(N3_A_EIGS[0], abs=1e-6)
+        assert energy == pytest.approx(-1.823, abs=1e-3)
 
     def test_qubit_mismatch(self, n7_a):
         with pytest.raises(ValueError):
-            expectation_exact(run(ansatz_1q(), [0.0]), n7_a.h)
+            estimate(ansatz_1q(), [0.0], n7_a.h, n7_a.h2)
 
 
 class TestExactEstimate:
@@ -281,7 +280,7 @@ class TestExactReads:
             state = run(setup.circuit, params)
             assert [term for term, _, _ in result.per_term] == [s.measured_terms[0][1] for s in singles]
             for (_, mean, stderr), single in zip(result.per_term, singles):
-                assert mean == pytest.approx(expectation_exact(state, single), abs=1e-12)
+                assert mean == pytest.approx(_exact_moments(state.amplitudes, single)[0], abs=1e-12)
                 assert stderr == 0.0
             assert result.energy == pytest.approx(oracle(setup.h, state.amplitudes), abs=1e-12)
             assert result.h_squared == pytest.approx(oracle(setup.h2, state.amplitudes), abs=1e-12)
@@ -296,35 +295,25 @@ class TestSinglePointEntries:
         ("estimate_sampled", "one point"),
         ("accidental_zero_check", "one point"),
         ("accidental_zero_check_register", "qubit counts"),
-        ("outcome_distributions", "one point"),
-        ("expectation_exact", "one state"),
     ])
     def test_batch_rejected_before_any_preparation(self, n7_a, monkeypatch, entry, match):
         c, h, h2 = n7_a.circuit, n7_a.h, n7_a.h2
         batch = np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 3))
-        states = run(c, batch)
         calls = {
             "estimate": lambda: estimate(c, batch, h, h2),
             "estimate_sampled": lambda: estimate(c, batch, h, h2, shots=100),
             "accidental_zero_check": lambda: accidental_zero_check(c, batch, h),
             "accidental_zero_check_register":
                 lambda: accidental_zero_check(c, batch[0], decompose(np.eye(2))),
-            "outcome_distributions": lambda: outcome_distributions(c, batch, h.measured_arrays[2]),
-            "expectation_exact": lambda: expectation_exact(states, h),
         }
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a state was prepared")
 
-        for module in (estimator_module, optimizer_module, simulator_module):
+        for module in (estimator_module, optimizer_module):
             monkeypatch.setattr(module, "run", forbidden)
         with pytest.raises(ValueError, match=match):
             calls[entry]()
-
-    def test_expectation_from_counts_takes_one_vector(self):
-        counts = np.array([[60, 40], [55, 45]])
-        with pytest.raises(ValueError, match="expected one count vector, got shape"):
-            expectation_from_counts(counts, PauliString(("Z",)))
 
 
 def _numerical_gradient(func, x, step=1e-6):
@@ -423,8 +412,8 @@ class TestWeightedCountStderr:
     def test_ill_conditioned_calibration_widens_stderr(self):
         cal = ConfusionMatrix(np.array([[0.6, 0.4], [0.4, 0.6]]), shots_per_column=20_000)
         z0 = PauliString(("Z",))
-        _, raw = expectation_from_counts([5500, 4500], z0)
-        _, mitigated = expectation_from_counts([5500, 4500], z0, cal)
+        _, raw = term_estimate([5500, 4500], z0)
+        _, mitigated = term_estimate([5500, 4500], z0, cal)
         assert mitigated >= 4 * raw
 
 
@@ -545,7 +534,7 @@ class TestOneStreamPerEstimate:
         terms = block.h.measured_arrays[2] + block.h2.measured_arrays[2]
         for fold in mitigation.folds if mitigation.cnot else (1,):
             circuit = fold_cnots(ansatz_2q(), fold)
-            rows = outcome_distributions(circuit, self.PARAMETERS, terms, noise)
+            rows = outcome_rows(circuit, self.PARAMETERS, terms, noise)
             expected += [stream.multinomial(shots, row) for row in rows]
         return expected
 
@@ -575,7 +564,7 @@ class TestOneStreamPerEstimate:
                  noise=noise, mitigation=mitigation, seed=self.SEED)
         terms = n7_a.h.measured_arrays[2] + n7_a.h2.measured_arrays[2]
         rows = np.concatenate([
-            outcome_distributions(fold_cnots(ansatz_2q(), fold), self.PARAMETERS, terms, noise)
+            outcome_rows(fold_cnots(ansatz_2q(), fold), self.PARAMETERS, terms, noise)
             for fold in mitigation.folds
         ])
         batched = np.random.default_rng(self.SEED).multinomial(1000, rows)
@@ -785,7 +774,7 @@ class TestBatchedEstimate:
         def forbidden(*args, **kwargs):
             raise AssertionError("a state was prepared")
 
-        for module in (estimator_module, optimizer_module, simulator_module):
+        for module in (estimator_module, optimizer_module):
             monkeypatch.setattr(module, "run", forbidden)
         points = np.random.default_rng(3).uniform(-np.pi, np.pi, (3, 3))
         with pytest.raises(ValueError, match=match):

@@ -13,9 +13,10 @@ from lmgvqe import (
     cnot_extrapolate,
     measure_term,
     mitigate_counts,
-    outcome_distributions,
     parity_signs,
 )
+
+from conftest import outcome_rows, term_estimate
 
 Z0 = PauliString(("Z",))
 
@@ -85,7 +86,7 @@ class TestMitigateCounts:
     def test_end_to_end_bias_removed_on_excited_state(self):
         noise = NoiseModel(0.02, 0.02)
         cal = calibrate(1, noise, shots=200_000, seed=5)
-        dist = outcome_distributions(ansatz_1q(), [np.pi], [Z0], noise)[0]
+        dist = outcome_rows(ansatz_1q(), [np.pi], [Z0], noise)[0]
         result = measure_term(dist, 200_000, 6)
         raw_mean, raw_stderr = -1.0 + 2 * result[0] / result.sum(), None
         mitigated = parity_signs(Z0) @ mitigate_counts(result, cal)
@@ -99,7 +100,7 @@ class TestMitigateCounts:
         shots = 100_000
         for seed, theta, true in ((11, 0.0, 1.0), (12, np.pi, -1.0)):
             cal = calibrate(1, noise, shots=shots, seed=seed)
-            dist = outcome_distributions(ansatz_1q(), [theta], [Z0], noise)[0]
+            dist = outcome_rows(ansatz_1q(), [theta], [Z0], noise)[0]
             result = measure_term(dist, shots, seed + 100)
             raw = (result[0] - result[1]) / shots
             mitigated = parity_signs(Z0) @ mitigate_counts(result, cal)
@@ -265,7 +266,7 @@ class TestCnotExtrapolate:
         for labels in list(product("IXYZ", repeat=2))[1:]:
             term = PauliString(labels)
             params = rng.uniform(-np.pi, np.pi, 3)
-            mean = lambda fold, p: parity_signs(term) @ outcome_distributions(
+            mean = lambda fold, p: parity_signs(term) @ outcome_rows(
                 fold_cnots(ansatz_2q(), fold), params, [term], NoiseModel(cnot_depolarizing=p)
             )[0]
             extrapolated, _ = cnot_extrapolate([(f, mean(f, p_cnot), 0.0) for f in (1, 3)])
@@ -279,7 +280,7 @@ class TestCnotExtrapolate:
         # <Z0> under 1% CNOT depolarizing across a 10-point grid chosen so
         # the true observable stays well away from zero; the fold-(1,3)
         # extrapolation beats the bare fold-1 estimate nearly everywhere
-        from lmgvqe import ansatz_2q, expectation_from_counts, fold_cnots, run
+        from lmgvqe import ansatz_2q, fold_cnots, run
         from lmgvqe.pauli import string_matrix
 
         noise = NoiseModel(cnot_depolarizing=0.01)
@@ -295,9 +296,9 @@ class TestCnotExtrapolate:
             ))
             estimates = {}
             for fold in (1, 3):
-                dist = outcome_distributions(fold_cnots(circuit, fold), params, [z0], noise)[0]
+                dist = outcome_rows(fold_cnots(circuit, fold), params, [z0], noise)[0]
                 result = measure_term(dist, shots, 500 + 10 * i + fold)
-                estimates[fold] = expectation_from_counts(result, z0)
+                estimates[fold] = term_estimate(result, z0)
             extrapolated, _ = cnot_extrapolate(
                 [(f, m, s) for f, (m, s) in estimates.items()]
             )

@@ -95,8 +95,8 @@ class TestMinimizeVariance:
 
 def _flat_variance_problem():
     """H = Y on one qubit: every real ansatz state has variance exactly 1."""
-    y = PauliSum.from_terms([(1.0, PauliString.from_text("Y0", 1))], 1)
-    identity = PauliSum.from_terms([(1.0, PauliString.from_text("I", 1))], 1)
+    y = PauliSum.from_terms([(1.0, PauliString(("Y",)))], 1)
+    identity = PauliSum.from_terms([(1.0, PauliString(("I",)))], 1)
     return y, identity
 
 
@@ -124,8 +124,8 @@ class TestTerminationReason:
 
     def test_stalled_without_free_parameters(self):
         # |1> is not an eigenstate of X, and nothing can move it
-        x = PauliSum.from_terms([(1.0, PauliString.from_text("X0", 1))], 1)
-        identity = PauliSum.from_terms([(1.0, PauliString.from_text("I", 1))], 1)
+        x = PauliSum.from_terms([(1.0, PauliString(("X",)))], 1)
+        identity = PauliSum.from_terms([(1.0, PauliString(("I",)))], 1)
         trace = minimize_variance(x, identity, Circuit(1, (Gate("x", target=0),)), [], EXACT)
         assert not trace.converged
         assert (trace.reason, trace.restarts, len(trace.iterations)) == ("stalled", 0, 1)
@@ -552,8 +552,8 @@ class TestSweep:
             sweep(n3_a.h, n3_a.h2, ansatz_1q(), grid=[], config=EXACT)
 
     def test_circuit_without_parameters_rejected(self):
-        x = PauliSum.from_terms([(1.0, PauliString.from_text("X0", 1))], 1)
-        identity = PauliSum.from_terms([(1.0, PauliString.from_text("I", 1))], 1)
+        x = PauliSum.from_terms([(1.0, PauliString(("X",)))], 1)
+        identity = PauliSum.from_terms([(1.0, PauliString(("I",)))], 1)
         with pytest.raises(ValueError, match="parameter_index 0 out of range for 0 slots"):
             sweep(x, identity, Circuit(1, (Gate("x", target=0),)), config=EXACT)
 

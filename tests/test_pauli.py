@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmgvqe import PauliString, PauliSum, decompose, multiply, parity_signs, reconstruct
+from lmgvqe import PauliString, PauliSum, decompose, multiply, parity_signs
 from lmgvqe.pauli import _pauli_basis, identity_string, string_matrix
 
 from conftest import (
@@ -88,9 +88,9 @@ class TestDecompose:
             decompose(np.diag([1.0, np.inf]))
 
 
-class TestReconstruct:
+class TestDenseMatrix:
     def test_inverts_n3_encoding(self, n3_a):
-        np.testing.assert_allclose(reconstruct(n3_a.h), n3_a.block.matrix, atol=1e-7)
+        np.testing.assert_allclose(n3_a.h.matrix, n3_a.block.matrix, atol=1e-7)
 
     def test_matrix_is_built_once_and_read_only(self, n3_a):
         assert n3_a.h.matrix is n3_a.h.matrix
@@ -114,16 +114,9 @@ class TestReconstruct:
         identity_only = PauliSum.from_terms([(2.0, identity_string(2))], 2)
         assert identity_only.measured_signs.shape == (0, 4)
 
-    def test_returns_writeable_copy(self, n3_a):
-        dense = reconstruct(n3_a.h)
-        assert dense.flags.writeable
-        assert not np.shares_memory(dense, n3_a.h.matrix)
-        dense[0, 0] += 1.0
-        np.testing.assert_allclose(n3_a.h.matrix, n3_a.block.matrix, atol=1e-7)
-
     def test_empty_sum_is_zero(self):
         psum = PauliSum((), num_qubits=2)
-        np.testing.assert_allclose(reconstruct(psum), np.zeros((4, 4)))
+        np.testing.assert_allclose(psum.matrix, np.zeros((4, 4)))
 
     def test_round_trip_from_random_sum(self):
         rng = np.random.default_rng(11)
@@ -132,7 +125,7 @@ class TestReconstruct:
         psum = PauliSum.from_terms(
             [(rng.normal(), strings[i]) for i in picks], num_qubits=2
         )
-        again = decompose(reconstruct(psum))
+        again = decompose(psum.matrix)
         assert as_dict(again) == pytest.approx(as_dict(psum), abs=1e-12)
 
     def test_round_trip_random_hermitian(self):
@@ -140,7 +133,7 @@ class TestReconstruct:
         for dim in (2, 4):
             for _ in range(25):
                 m = random_hermitian(rng, dim)
-                np.testing.assert_allclose(reconstruct(decompose(m)), m, atol=1e-10)
+                np.testing.assert_allclose(decompose(m).matrix, m, atol=1e-10)
 
 
 class TestMultiply:
@@ -194,69 +187,30 @@ class TestTextFormat:
         assert str(PauliString(("I", "I"))) == "I"
         assert str(PauliString(("I", "Y"))) == "Y1"
 
-    def test_parse_inverse(self):
-        for text in ("Z0X1", "I", "Y1", "X0Y1Z2"):
-            parsed = PauliString.from_text(text)
-            assert str(parsed) == text
-        assert PauliString.from_text("I", num_qubits=2).num_qubits == 2
-        with pytest.raises(ValueError):
-            PauliString.from_text("Q3")
-        with pytest.raises(ValueError):
-            PauliString.from_text("X0X0")
-
     @pytest.mark.parametrize("build, match", [
         (lambda: PauliString(()), "needs at least one qubit"),
         (lambda: PauliString(("Z", "Q")), "invalid Pauli label 'Q'"),
-        (lambda: PauliString.from_text("Z2", num_qubits=2), "qubit index out of range"),
-        (lambda: PauliString.from_text(""), "cannot parse Pauli string ''"),
-        (lambda: PauliString.from_text("   ", 2), "cannot parse Pauli string ''"),
-        (lambda: PauliSum.from_text("1.0 Z0").coefficient(""), "cannot parse Pauli string ''"),
     ])
     def test_malformed_strings_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
 
-    def test_sum_text_infers_the_register_by_the_string_grammar(self):
-        with pytest.raises(ValueError, match="cannot parse Pauli string 'foo'"):
-            PauliSum.from_text("1.0 foo")
-        with pytest.raises(ValueError, match="cannot parse Pauli string 'Z0Q1'"):
-            PauliSum.from_text("0.5 I\n1.0 Z0Q1")
-        assert PauliSum.from_text("0.5 I").num_qubits == 1
-        assert PauliSum.from_text("") == PauliSum((), 1)
-
-    @pytest.mark.parametrize("text, line", [
-        ("1.0", "1.0"),
-        ("0.5 I\n  -2.5  \n1.0 Z0", "-2.5"),
-        ("0.5 I\nabc Z0", "abc Z0"),
-        ("1,5 X0", "1,5 X0"),
-    ], ids=["coefficient-only", "coefficient-only-line-2", "word-coefficient", "comma-coefficient"])
-    def test_bad_term_line_is_named(self, text, line):
-        with pytest.raises(ValueError, match=f"cannot parse term line {line!r}"):
-            PauliSum.from_text(text)
-
-    def test_multi_line_sum_round_trip(self):
-        # comments and blank lines are skipped; the widest string (Y2) sets the register
-        text = "# a comment\n-0.5 I\n\n0.25 Z0X1\n  1.5 Y2\n-2 X0Z2\n"
-        psum = PauliSum.from_text(text)
-        assert psum.num_qubits == 3
-        assert as_dict(psum) == {"I": -0.5, "Z0X1": 0.25, "Y2": 1.5, "X0Z2": -2.0}
-        assert PauliSum.from_text(psum.to_text()) == psum
-
-    @pytest.mark.parametrize("num_qubits", [True, 2.0, 0, -1])
-    def test_qubit_count_must_be_a_positive_integer(self, num_qubits):
-        for text in ("I", "Z0"):
-            with pytest.raises(ValueError, match="num_qubits must be a positive integer"):
-                PauliString.from_text(text, num_qubits)
-
     def test_sum_round_trip(self, n7_a):
-        text = n7_a.h.to_text(digits=17)
-        again = PauliSum.from_text(text, num_qubits=2)
-        assert as_dict(again) == pytest.approx(as_dict(n7_a.h), abs=1e-12)
+        # 17 digits give back every weight; the strings print as str() does
+        lines = n7_a.h.to_text(digits=17).splitlines()
+        assert len(lines) == len(n7_a.h)
+        for line, (coeff, string) in zip(lines, n7_a.h.terms):
+            text_coeff, text_string = line.split()
+            assert float(text_coeff) == coeff and text_string == str(string)
 
-    def test_coefficient_lookup(self, n3_a):
-        assert n3_a.h.coefficient("Z0") == pytest.approx(-1.0)
-        assert n3_a.h.coefficient("Y0") == 0.0
+    def test_coefficient_lookup(self, n3_a, n7_a):
+        assert n3_a.h.coefficient(PauliString(("Z",))) == pytest.approx(-1.0)
+        assert n3_a.h.coefficient(PauliString(("Y",))) == 0.0
         assert n3_a.h.identity_coefficient == pytest.approx(-0.5)
+        # a string on another register, or a bare label tuple, is not looked up as 0.0
+        for bad in (PauliString(("Z",)), ("Z", "I")):
+            with pytest.raises(ValueError, match="expected a Pauli string on 2 qubits"):
+                n7_a.h.coefficient(bad)
 
 
 class TestPauliSumValidation:
@@ -274,8 +228,6 @@ class TestPauliSumValidation:
     def test_non_finite_weights_rejected(self, weight):
         with pytest.raises(ValueError):
             PauliSum.from_terms([(weight, PauliString(("Z",))), (1.0, identity_string(1))], 1)
-        with pytest.raises(ValueError):
-            PauliSum.from_text(f"{weight} Z0\n1.0 I")
 
     def test_mixed_qubit_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -15,12 +15,10 @@ from lmgvqe import (
     ansatz_1q,
     ansatz_2q,
     estimate,
-    expectation_from_counts,
     fold_cnots,
     measure_term,
     mitigate_counts,
     multiply,
-    outcome_distributions,
     run,
 )
 from lmgvqe.circuits import apply_single_qubit
@@ -32,6 +30,8 @@ from lmgvqe.simulator import (
     _readout_matrix,
 )
 from lmgvqe.pauli import PAULI_MATRICES
+
+from conftest import outcome_rows, term_estimate
 
 Z0 = PauliString(("Z",))
 X0 = PauliString(("X",))
@@ -46,12 +46,12 @@ def agresti_coull_stderr(shots):
 
 def sample(circuit, params, term, shots, noise=NoiseModel(), seed=0):
     """Counts of the measurement circuit of one term."""
-    return measure_term(outcome_distributions(circuit, params, [term], noise)[0], shots, seed)
+    return measure_term(outcome_rows(circuit, params, [term], noise)[0], shots, seed)
 
 
 def sampled_expectation(term, theta, shots, noise=NoiseModel(), seed=0):
     result = sample(ansatz_1q(), [theta], term, shots, noise=noise, seed=seed)
-    return expectation_from_counts(result, term)
+    return term_estimate(result, term)
 
 
 class TestBasisChanges:
@@ -76,7 +76,7 @@ class TestMeasureTerm:
     def test_z_on_zero_state_is_deterministic(self):
         result = sample(ansatz_1q(), [0.0], Z0, 500)
         assert result.tolist() == [500, 0]
-        mean, stderr = expectation_from_counts(result, Z0)
+        mean, stderr = term_estimate(result, Z0)
         assert mean == 1.0 and stderr == pytest.approx(agresti_coull_stderr(500), rel=1e-12)
 
     def test_equal_superposition_counts(self):
@@ -104,21 +104,21 @@ class TestMeasureTerm:
         noise = NoiseModel(readout_p01=0.02, readout_p10=0.02)
         term = PauliString(("Z", "Z"))
         result = sample(ansatz_2q(), (0.0, 0.0, 0.0), term, 200_000, noise=noise, seed=3)
-        mean, _ = expectation_from_counts(result, term)
+        mean, _ = term_estimate(result, term)
         assert mean == pytest.approx((1 - 0.04) ** 2, abs=5e-3)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
-            outcome_distributions(ansatz_1q(), [0.0], [PauliString(("Z", "Z"))])
+            outcome_rows(ansatz_1q(), [0.0], [PauliString(("Z", "Z"))])
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            measure_term(outcome_distributions(ansatz_1q(), [0.0], [Z0])[0], 0)
+            measure_term(outcome_rows(ansatz_1q(), [0.0], [Z0])[0], 0)
 
     @pytest.mark.parametrize("shots", [2.5, True])
     def test_non_integer_shots_rejected(self, shots):
         with pytest.raises(ValueError, match="positive integer"):
-            measure_term(outcome_distributions(ansatz_1q(), [0.0], [Z0])[0], shots)
+            measure_term(outcome_rows(ansatz_1q(), [0.0], [Z0])[0], shots)
 
     def test_seed_determinism(self):
         noise = NoiseModel(0.01, 0.02, 0.03)
@@ -141,7 +141,7 @@ class TestMeasureTerm:
             state = run(ansatz_2q(), params)
             for j, term in enumerate(terms):
                 result = sample(ansatz_2q(), params, term, 100_000, seed=1000 * i + j)
-                mean, stderr = expectation_from_counts(result, term)
+                mean, stderr = term_estimate(result, term)
                 from lmgvqe.pauli import string_matrix
                 exact = float(np.vdot(state.amplitudes, string_matrix(term) @ state.amplitudes).real)
                 assert abs(mean - exact) <= 5 * max(stderr, 1e-3)
@@ -153,8 +153,8 @@ class TestMeasureTerm:
             ansatz_2q(), (0.9, 0.4, -0.2), term, 50_000,
             noise=NoiseModel(cnot_depolarizing=0.2), seed=5,
         )
-        m_clean, _ = expectation_from_counts(clean, term)
-        m_noisy, _ = expectation_from_counts(noisy, term)
+        m_clean, _ = term_estimate(clean, term)
+        m_noisy, _ = term_estimate(noisy, term)
         assert abs(m_noisy) < abs(m_clean)
 
 
@@ -223,14 +223,14 @@ class TestOutcomeDistribution:
             p01, p10 = rng.uniform(0.0, 0.3, 2)
             p_cnot = rng.uniform(0.0, 0.3)
             term = PauliString(labels)
-            got = outcome_distributions(circuit, params, [term], NoiseModel(p01, p10, p_cnot))[0]
+            got = outcome_rows(circuit, params, [term], NoiseModel(p01, p10, p_cnot))[0]
             expected = density_matrix_distribution(circuit, params, term, p01, p10, p_cnot)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_one_qubit_readout_matches_density_matrix(self):
         for theta, label in product((-2.0, 0.3, 1.9), "IXYZ"):
             term = PauliString((label,))
-            got = outcome_distributions(ansatz_1q(), (theta,), [term], NoiseModel(0.07, 0.15))[0]
+            got = outcome_rows(ansatz_1q(), (theta,), [term], NoiseModel(0.07, 0.15))[0]
             expected = density_matrix_distribution(ansatz_1q(), (theta,), term, 0.07, 0.15, 0.0)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -238,7 +238,7 @@ class TestOutcomeDistribution:
         circuit = Circuit(3, (Gate("x", target=0), Gate("cnot", target=2, control=0)))
         term = PauliString(("Z", "Z", "Z"))
         with pytest.raises(ValueError):
-            outcome_distributions(circuit, (), [term], NoiseModel(cnot_depolarizing=0.01))
+            outcome_rows(circuit, (), [term], NoiseModel(cnot_depolarizing=0.01))
         # readout noise alone stays exact on any register
         result = sample(circuit, (), term, 100, noise=NoiseModel(0.01, 0.02))
         assert result.sum() == 100
@@ -276,7 +276,7 @@ class TestOutcomeTable:
         for p_cnot in (0.0, 0.2):
             params = tuple(rng.uniform(-np.pi, np.pi, 3))
             noise = NoiseModel(*rng.uniform(0.0, 0.3, 2), p_cnot)
-            table = outcome_distributions(circuit, params, terms, noise)
+            table = outcome_rows(circuit, params, terms, noise)
             assert table.shape == (16, 4)
             for row, term in zip(table, terms):
                 assert np.array_equal(row, per_term_distribution(circuit, params, term, noise))
@@ -285,7 +285,7 @@ class TestOutcomeTable:
         terms = [PauliString((label,)) for label in "IXYZ"]
         noise = NoiseModel(0.07, 0.15)
         for theta in (-2.0, 0.3, 1.9):
-            table = outcome_distributions(ansatz_1q(), (theta,), terms, noise)
+            table = outcome_rows(ansatz_1q(), (theta,), terms, noise)
             for row, term in zip(table, terms):
                 expected = per_term_distribution(ansatz_1q(), (theta,), term, noise)
                 assert np.array_equal(row, expected)
@@ -323,7 +323,7 @@ class TestOutcomeTable:
             noise = NoiseModel(*rng.uniform(0.0, 0.3, 2), p_cnot)
             table, index = _basis_table(run(circuit, params), terms)
             rows = _noisy_rows(table, index, folded.num_cnots, noise)
-            assert np.array_equal(rows, outcome_distributions(folded, params, terms, noise))
+            assert np.array_equal(rows, outcome_rows(folded, params, terms, noise))
             for row, term in zip(rows, terms):
                 assert np.array_equal(row, per_term_distribution(folded, params, term, noise))
                 expected = density_matrix_distribution(
@@ -398,7 +398,7 @@ class TestOutcomeTable:
             matrix[0, 0] = 1.0
 
     def test_no_terms_gives_empty_table(self):
-        table = outcome_distributions(ansatz_2q(), (0.1, 0.2, 0.3), [])
+        table = outcome_rows(ansatz_2q(), (0.1, 0.2, 0.3), [])
         assert table.shape == (0, 4)
 
 
@@ -416,41 +416,33 @@ class TestMeasureTermValidation:
         assert np.array_equal(measure_term(dist, 5000, 11), expected)
 
 
-class TestExpectationFromCounts:
-    def test_identity_term(self):
-        result = np.array([10, 0])
-        assert expectation_from_counts(result, PauliString(("I",))) == (1.0, 0.0)
-
+class TestTermEstimate:
     def test_symmetric_counts(self):
         result = np.array([10_000, 10_000])
-        mean, stderr = expectation_from_counts(result, Z0)
+        mean, stderr = term_estimate(result, Z0)
         assert mean == 0.0
         assert stderr == pytest.approx(np.sqrt(1.0 / 20_000), abs=1e-12)
 
     def test_even_parity_two_qubits(self):
         result = np.array([5000, 0, 0, 5000])
-        mean, stderr = expectation_from_counts(result, PauliString(("Z", "Z")))
+        mean, stderr = term_estimate(result, PauliString(("Z", "Z")))
         assert mean == 1.0 and stderr == pytest.approx(agresti_coull_stderr(10_000), rel=1e-12)
 
     @pytest.mark.parametrize("counts", [
         [1, 0, 0, 0], [5, -1], [0, 0],
         [np.nan, 1], [np.inf, 1], [0.5, 0.5], [True, False], ["3", "4"],
     ])
-    @pytest.mark.parametrize("consume", [
-        lambda c: expectation_from_counts(c, Z0),
-        lambda c: mitigate_counts(c, ConfusionMatrix(np.eye(2), shots_per_column=1)),
-    ], ids=["expectation_from_counts", "mitigate_counts"])
-    def test_malformed_counts_rejected(self, consume, counts):
+    def test_malformed_counts_rejected(self, counts):
         # wrong length, a negative entry, no shots; then counts that are not
         # integers: NaN, inf, fractions, bools and strings
         with pytest.raises(ValueError):
-            consume(np.array(counts))
+            mitigate_counts(np.array(counts), ConfusionMatrix(np.eye(2), shots_per_column=1))
 
     def test_parity_restricted_to_active_qubits(self):
         result = np.array([0, 100, 0, 0])
-        mean, _ = expectation_from_counts(result, PauliString(("Z", "I")))
+        mean, _ = term_estimate(result, PauliString(("Z", "I")))
         assert mean == 1.0
-        mean, _ = expectation_from_counts(result, PauliString(("I", "Z")))
+        mean, _ = term_estimate(result, PauliString(("I", "Z")))
         assert mean == -1.0
 
 
