@@ -187,19 +187,35 @@ class TestTextFormat:
         assert str(PauliString(("I", "I"))) == "I"
         assert str(PauliString(("I", "Y"))) == "Y1"
 
+    @pytest.mark.parametrize("labels, text", [
+        (("I",), "I"),
+        (("I", "I", "I"), "I"),
+        (("Y", "I"), "Y0"),
+        (("X", "Y", "Z"), "X0Y1Z2"),
+        (("Z", "I", "X"), "Z0X2"),
+    ])
+    def test_non_identity_factors_print_in_ascending_qubit_order(self, labels, text):
+        assert str(PauliString(labels)) == text
+
     @pytest.mark.parametrize("build, match", [
         (lambda: PauliString(()), "needs at least one qubit"),
         (lambda: PauliString(("Z", "Q")), "invalid Pauli label 'Q'"),
+        (lambda: PauliString(("z",)), "invalid Pauli label 'z'"),
+        (lambda: PauliString(("XY",)), "invalid Pauli label 'XY'"),
+        (lambda: PauliString(("I", "")), "invalid Pauli label ''"),
+        (lambda: PauliString((3,)), "invalid Pauli label 3"),
     ])
     def test_malformed_strings_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
 
-    def test_sum_round_trip(self, n7_a):
+    @pytest.mark.parametrize("block", ["n3_a", "n3_b", "n7_a", "n7_b"])
+    def test_sum_round_trip(self, block, request):
         # 17 digits give back every weight; the strings print as str() does
-        lines = n7_a.h.to_text(digits=17).splitlines()
-        assert len(lines) == len(n7_a.h)
-        for line, (coeff, string) in zip(lines, n7_a.h.terms):
+        h = request.getfixturevalue(block).h
+        lines = h.to_text(digits=17).splitlines()
+        assert len(lines) == len(h)
+        for line, (coeff, string) in zip(lines, h.terms):
             text_coeff, text_string = line.split()
             assert float(text_coeff) == coeff and text_string == str(string)
 
@@ -211,6 +227,13 @@ class TestTextFormat:
         for bad in (PauliString(("Z",)), ("Z", "I")):
             with pytest.raises(ValueError, match="expected a Pauli string on 2 qubits"):
                 n7_a.h.coefficient(bad)
+
+    @pytest.mark.parametrize("bad", ["Z0", "I", None, PauliString(("Z", "I", "I"))],
+                             ids=["text", "identity-text", "none", "wider-register"])
+    def test_coefficient_rejects_anything_but_a_register_string(self, n7_a, bad):
+        # text was once parsed here; it is now rejected like any other non-string
+        with pytest.raises(ValueError, match="expected a Pauli string on 2 qubits"):
+            n7_a.h.coefficient(bad)
 
 
 class TestPauliSumValidation:

@@ -26,6 +26,7 @@ from lmgvqe.simulator import (
     _X_BASIS_CHANGE,
     _Y_BASIS_CHANGE,
     _basis_table,
+    _checked_counts,
     _noisy_rows,
     _readout_matrix,
 )
@@ -432,11 +433,16 @@ class TestTermEstimate:
         [1, 0, 0, 0], [5, -1], [0, 0],
         [np.nan, 1], [np.inf, 1], [0.5, 0.5], [True, False], ["3", "4"],
     ])
-    def test_malformed_counts_rejected(self, counts):
+    @pytest.mark.parametrize("consume", [
+        lambda c: _checked_counts(c, 1),
+        lambda c: mitigate_counts(c, ConfusionMatrix(np.eye(2), shots_per_column=1)),
+    ], ids=["checked_counts", "mitigate_counts"])
+    def test_malformed_counts_rejected(self, consume, counts):
         # wrong length, a negative entry, no shots; then counts that are not
-        # integers: NaN, inf, fractions, bools and strings
+        # integers: NaN, inf, fractions, bools and strings.  The count rule
+        # itself is checked as well as its one public caller.
         with pytest.raises(ValueError):
-            mitigate_counts(np.array(counts), ConfusionMatrix(np.eye(2), shots_per_column=1))
+            consume(np.array(counts))
 
     def test_parity_restricted_to_active_qubits(self):
         result = np.array([0, 100, 0, 0])
