@@ -17,8 +17,8 @@ on the cached dense matrix of H (``_exact_moments``): <H> = psi . H psi,
 <H^2> = ||H psi||^2 and sigma^2 = ||H psi - <H> psi||^2, the squared
 eigen-residual, which cannot go negative or lose digits to the
 cancellation of <H^2> - <H>^2.  The read takes one state or a batch, with
-the same arithmetic on every row.  Each exact term mean is s . p on the
-ideal table the sampled path draws from, built one point at a time.
+the same arithmetic on every row.  Exact mode measures no term, so its
+results carry no per-term means.
 
 ``estimate`` reads one point, or a batch of points with one seed per
 point; a single point is the batch of one.  In sampled mode one call
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Statevector, _check_int, _single_point, fold_cnots, run
+from .circuits import Circuit, _check_int, _single_point, fold_cnots, run
 from .mitigation import Mitigation, _stacked, calibrate, cnot_extrapolate, mitigate_counts
 from .pauli import PauliString, PauliSum
 from .simulator import (
@@ -69,7 +69,9 @@ SQUARE_CHECK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """<H>, <H^2> and sigma^2 with standard errors and per-term detail."""
+    """<H>, <H^2> and sigma^2 with standard errors.  ``per_term`` holds the
+    measured terms' (string, mean, stderr); it is empty in exact mode and
+    when no term is measured."""
 
     energy: float
     energy_stderr: float
@@ -220,43 +222,39 @@ def estimate(
     _verify_problem(circuit, h, h2)
     points, seeds = _points(circuit, parameters, seed)
 
+    if shots is None:
+        _reject_noise_in_exact_mode(noise, mitigation)
+        for s in seeds:
+            _check_seed(s)  # the sampled path's rule, though nothing is drawn
+        # (energy, <H^2>, variance) of each point as Python floats
+        moments = np.array(_exact_moments(run(circuit, points).amplitudes, h)).T.reshape(-1, 3)
+        results = [
+            EstimationResult(energy, 0.0, h_sq, 0.0, variance, 0.0, (), None)
+            for energy, h_sq, variance in moments.tolist()
+        ]
+        return results if points.ndim == 2 else results[0]
+
+    _check_int(shots)
+    rngs = [_rng(s) for s in seeds]  # every seed checked before a state is prepared
     const_h, betas_h, strings_h = h.measured_arrays
     const_2, betas_2, strings_2 = h2.measured_arrays
     all_strings = strings_h + strings_2
     signs = np.concatenate([h.measured_signs, h2.measured_signs])
     split = len(strings_h)
-    if shots is None:
-        _reject_noise_in_exact_mode(noise, mitigation)
-        for s in seeds:
-            _check_seed(s)  # the sampled path's rule, though nothing is drawn
-        state = run(circuit, points)
-        rows = [state] if points.ndim == 1 else map(Statevector, state.amplitudes)
-        tables = (_basis_table(row, all_strings) for row in rows)  # one point's at a time
-        means = [(signs * table.take(index, axis=-2)).sum(-1) for table, index in tables]
-        stderrs = [np.zeros(len(all_strings))] * len(means)
-        # (energy, <H^2>, variance) of each point as Python floats
-        moments = iter(np.array(_exact_moments(state.amplitudes, h)).T.reshape(-1, 3).tolist())
-    else:
-        _check_int(shots)
-        rngs = [_rng(s) for s in seeds]  # every seed checked before a state is prepared
-        means, stderrs = _sampled_term_means(
-            circuit, points, all_strings, signs, shots, noise, mitigation, rngs
-        )
-        means, stderrs = ([means], [stderrs]) if points.ndim == 1 else (means, stderrs)
+    means, stderrs = _sampled_term_means(
+        circuit, points, all_strings, signs, shots, noise, mitigation, rngs
+    )
+    means, stderrs = ([means], [stderrs]) if points.ndim == 1 else (means, stderrs)
     results = []
     for m, e in zip(means, stderrs):
-        if shots is None:
-            (energy, h_sq, variance), energy_stderr, h_sq_stderr = next(moments), 0.0, 0.0
-        else:
-            energy, energy_stderr = _combine(const_h, betas_h, m[:split], e[:split])
-            h_sq, h_sq_stderr = _combine(const_2, betas_2, m[split:], e[split:])
-            variance = h_sq - energy**2
+        energy, energy_stderr = _combine(const_h, betas_h, m[:split], e[:split])
+        h_sq, h_sq_stderr = _combine(const_2, betas_2, m[split:], e[split:])
         results.append(EstimationResult(
             energy=energy,
             energy_stderr=energy_stderr,
             h_squared=h_sq,
             h_squared_stderr=h_sq_stderr,
-            variance=variance,
+            variance=h_sq - energy**2,
             variance_stderr=math.sqrt(h_sq_stderr**2 + 4.0 * energy**2 * energy_stderr**2),
             per_term=tuple(zip(all_strings, m.tolist(), e.tolist())),
             shots=shots,

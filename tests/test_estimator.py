@@ -9,11 +9,13 @@ import pytest
 from lmgvqe import (
     DEFAULT_SYNTHETIC_NOISE,
     ConfusionMatrix,
+    EstimatorConfig,
     Mitigation,
     NoiseModel,
     ansatz_1q,
     ansatz_2q,
     calibrate,
+    discover_spectrum,
     estimate,
     fold_cnots,
     measure_term,
@@ -25,7 +27,7 @@ import lmgvqe.estimator as estimator_module
 import lmgvqe.optimizer as optimizer_module
 import lmgvqe.simulator as simulator_module
 from lmgvqe import accidental_zero_check
-from lmgvqe.estimator import _exact_moments, _term_estimates
+from lmgvqe.estimator import _term_estimates
 from lmgvqe.pauli import PauliString, PauliSum, decompose, string_matrix
 from lmgvqe.simulator import _basis_table
 
@@ -260,14 +262,15 @@ class TestSampledEstimate:
 
 
 class TestExactReads:
-    """Exact estimates against oracles built here from each string's own
-    dense matrix, on 200 seeded points per block."""
+    """Exact estimates, and each term's mean on the ideal outcome table the
+    sampled path draws from, against oracles built here from each string's
+    own dense matrix, on 200 seeded points per block."""
 
     @pytest.mark.parametrize("name", ["n3_a", "n3_b", "n7_a", "n7_b"])
     def test_against_string_matrix_oracle(self, request, name):
         setup = request.getfixturevalue(name)
-        n = setup.circuit.num_qubits
-        singles = [PauliSum(((1.0, s),), n) for _, s in setup.h.measured_terms + setup.h2.measured_terms]
+        strings = [s for _, s in setup.h.measured_terms + setup.h2.measured_terms]
+        signs = np.concatenate([setup.h.measured_signs, setup.h2.measured_signs])
 
         def oracle(psum, amps):
             return psum.identity_coefficient.real + sum(
@@ -278,10 +281,11 @@ class TestExactReads:
         for params in rng.uniform(-np.pi, np.pi, (200, setup.circuit.num_parameters)):
             result = estimate(setup.circuit, params, setup.h, setup.h2)
             state = run(setup.circuit, params)
-            assert [term for term, _, _ in result.per_term] == [s.measured_terms[0][1] for s in singles]
-            for (_, mean, stderr), single in zip(result.per_term, singles):
-                assert mean == pytest.approx(_exact_moments(state.amplitudes, single)[0], abs=1e-12)
-                assert stderr == 0.0
+            table, index = _basis_table(state, strings)
+            means = (signs * table.take(index, axis=-2)).sum(-1)
+            for mean, string in zip(means, strings):
+                expected = np.vdot(state.amplitudes, string_matrix(string) @ state.amplitudes).real
+                assert mean == pytest.approx(expected, abs=1e-12)
             assert result.energy == pytest.approx(oracle(setup.h, state.amplitudes), abs=1e-12)
             assert result.h_squared == pytest.approx(oracle(setup.h2, state.amplitudes), abs=1e-12)
 
@@ -718,17 +722,22 @@ class TestBatchedEstimate:
             repr(estimate(setup.circuit, p, setup.h, setup.h2)) for p in points
         ]
 
-    def test_exact_batch_builds_one_point_table_at_a_time(self, n7_a, monkeypatch):
-        shapes = []
+    def test_exact_mode_touches_no_sampler_table(self, n7_a, monkeypatch):
+        # exact mode measures no term: one moment read, no outcome table
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact mode reached the sampler")
 
-        def recorded(state, terms):
-            shapes.append(state.amplitudes.shape)
-            return _basis_table(state, terms)
-
-        monkeypatch.setattr(estimator_module, "_basis_table", recorded)
-        points = np.random.default_rng(19).uniform(-np.pi, np.pi, (8, 3))
-        estimate(n7_a.circuit, points, n7_a.h, n7_a.h2, seed=[0] * 8)
-        assert shapes == [(4,)] * 8
+        for name in ("_basis_table", "_noisy_rows", "measure_term"):
+            monkeypatch.setattr(estimator_module, name, forbidden)
+        c, h, h2 = n7_a.circuit, n7_a.h, n7_a.h2
+        points = np.random.default_rng(19).uniform(-np.pi, np.pi, (5, 3))
+        report = discover_spectrum(h, h2, c, 8, EstimatorConfig())
+        results = [estimate(c, points[0], h, h2), *estimate(c, points, h, h2, seed=[0] * 5)]
+        results += [trace.final for trace in report.traces]
+        assert len(results) == 1 + 5 + 8
+        for result in results:
+            assert (result.per_term, result.shots) == ((), None)
+            assert (result.energy_stderr, result.h_squared_stderr, result.variance_stderr) == (0.0,) * 3
 
     def test_one_preparation_and_per_point_draws(self, n7_a, monkeypatch):
         import lmgvqe.mitigation as mitigation_module
