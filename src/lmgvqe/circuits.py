@@ -195,11 +195,16 @@ def run(circuit: Circuit, parameters=()) -> Statevector:
     """Apply the circuit's compiled gates to |0...0> and return the final,
     validated state: one state for parameters of shape (k,), one row per
     point for shape (B, k).  A row's arithmetic does not depend on B, so it
-    equals the single run of its point bit for bit."""
+    equals the single run of its point bit for bit.  A NaN or infinite
+    parameter raises ValueError."""
     params = np.asarray(parameters, dtype=float)
     k = circuit.num_parameters
     if params.ndim not in (1, 2) or params.shape[-1] != k:
         raise ValueError(f"circuit takes {k} parameters, got shape {params.shape}")
+    finite = np.isfinite(params)
+    if not finite.all():  # before cos and sin turn the point into NaN amplitudes
+        point = params if params.ndim == 1 else params[~finite.all(-1)][0]
+        raise ValueError(f"parameters must be finite, got {point.tolist()}")
     half = params[..., None] / 2.0  # (..., k, 1): one factor per row and slot
     cos, sin = np.cos(half), np.sin(half)
     if params.ndim == 1:  # one point: the same factors as Python floats, which apply faster

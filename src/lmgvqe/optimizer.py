@@ -11,7 +11,9 @@ smaller initial simplex.
 ``_nelder_mead`` is a port of scipy's non-adaptive, unbounded Nelder-Mead as
 an ask/tell generator: it builds its simplex, yields each point to evaluate
 and takes the value back, visiting the points ``scipy.optimize.minimize``
-would, and caps nothing.  ``_search`` runs one start's restart rounds and
+would, and caps nothing.  It runs on Python floats, with scipy's
+coefficients and order of operations and one stable sort per step, so each
+step makes no numpy call.  ``_search`` runs one start's restart rounds and
 holds its only evaluation counts: before each evaluation it tests scipy's
 per-round ``maxfev`` cap, as scipy's wrapper does, and the start's budget.
 So one ``minimize_variance`` call advances any number of starts in lockstep:
@@ -146,57 +148,65 @@ def _cluster_radius(stderr: float) -> float:
     return max(5.0 * stderr, CLUSTER_RADIUS_FLOOR)
 
 
-def _nelder_mead(x0: np.ndarray, step: float, xatol: float, fatol: float):
+def _nelder_mead(x0, step: float, xatol: float, fatol: float):
     """scipy's non-adaptive, unbounded Nelder-Mead from the simplex of ``x0``
     and ``x0`` plus ``step`` along each axis, as an ask/tell generator: it
-    yields each point to evaluate and takes its value by ``send`` until the
-    simplex converges to within xatol and fatol, with no cap on evaluations.
-    Same coefficients, sorts and arithmetic as ``scipy.optimize.minimize``,
-    so it visits the same points."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    yields each point to evaluate, a list of floats, and takes its value by
+    ``send`` until the simplex converges to within xatol and fatol, with no
+    cap on evaluations.  It steps Python floats with scipy's coefficients in
+    scipy's order of operations, and orders the rows by one stable sort, as
+    scipy's two argsorts of at most 16 values do, so it visits the same
+    points as ``scipy.optimize.minimize``."""
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        sim[i + 1, i] += step
-    fsim = np.full(n + 1, np.inf)
-    for k in range(n + 1):
-        fsim[k] = yield sim[k]
+    x0 = [float(v) for v in x0]
+    sim = [x0] + [x0[:i] + [x0[i] + step] + x0[i + 1:] for i in range(n)]
+    fsim = []
+    for x in sim:
+        fsim.append((yield x))
     if n == 0:  # no free parameter: the one point is all there is
         return
-    for _ in range(2):  # scipy sorts twice before its first step
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
-    while not (abs(sim[1:] - sim[0]).max() <= xatol and abs(fsim[0] - fsim[1:]).max() <= fatol):
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        if all(abs(fsim[0] - f) <= fatol for f in fsim[1:]) and all(
+            abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, sim[0])
+        ):
+            return
+        # scipy's reduce adds the rows in order to 0.0, then divides by n;
+        # starting from the first row instead only turns a -0.0 sum into
+        # 0.0, so add 0.0 last.  (From Python 3.12 on, sum compensates.)
+        xbar = sim[0]
+        for x in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar, worst = [(a + 0.0) / n for a in xbar], sim[-1]
+        xr = [2 * a - 1 * b for a, b in zip(xbar, worst)]  # reflection, rho 1
         fxr = yield xr
         shrink = False
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]  # expansion, chi 2
             fxe = yield xe
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:  # outside contraction
-            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+        elif fxr < fsim[-1]:  # outside contraction, psi 0.5
+            xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
             fxc = yield xc
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 shrink = True
         else:  # inside contraction
-            xcc = (1 - psi) * xbar + psi * sim[-1]
+            xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
             fxcc = yield xcc
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
                 shrink = True
-        if shrink:
+        if shrink:  # towards the best row, sigma 0.5
+            best = sim[0]
             for j in range(1, n + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                sim[j] = [s0 + 0.5 * (sj - s0) for s0, sj in zip(best, sim[j])]
                 fsim[j] = yield sim[j]
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
 
 
 def _evaluate(h, h2, circuit: Circuit, points, config: EstimatorConfig, keys) -> list:
@@ -218,7 +228,7 @@ def _evaluate(h, h2, circuit: Circuit, points, config: EstimatorConfig, keys) ->
     return [((r.energy, r.variance, r.energy_stderr, r.variance_stderr), r) for r in results]
 
 
-def _search(x0: np.ndarray, config: EstimatorConfig, budget: int):
+def _search(x0, config: EstimatorConfig, budget: int):
     """One start's restarted search as an ask/tell generator: yields
     ``(parameters, index)`` for each evaluation, takes its ``(values,
     result)`` by ``send`` and returns the start's ``RunTrace``, its final
@@ -243,7 +253,7 @@ def _search(x0: np.ndarray, config: EstimatorConfig, budget: int):
         steps = _nelder_mead(x_start, max(0.5 * 0.2**restart, 1e-6), xatol, fatol)
         x, stop = next(steps), min(len(records) + maxfev, budget)
         while x is not None and len(records) < stop:
-            params = tuple(x.tolist())
+            params = tuple(x)
             values, result = yield params, len(records)
             record = IterationRecord(params, *values)
             records.append(record)
@@ -265,7 +275,7 @@ def _search(x0: np.ndarray, config: EstimatorConfig, budget: int):
                 reason = "restart_cap"
             else:
                 restart += 1
-                x_start = np.asarray(best[1], dtype=float)
+                x_start = best[1]
 
     converged = reason == "converged"
     final_params, final_result = crossing if converged else best[1:]

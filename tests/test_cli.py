@@ -226,6 +226,7 @@ class TestConfigHandling:
         assert main(["spectrum", "--n", "3", "--eps", "nan"]) == 2
         assert main(["spectrum", "--n", "3", "--v", "inf"]) == 2
         assert main(["sweep", "--n", "7", "--block", "A", "--fixed", "0,nan,0"]) == 2
+        assert main(["sweep", "--n", "7", "--block", "A", "--fixed", "0,inf,0"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_readout_flips_summing_to_one_exit_2(self, capsys):
@@ -573,3 +574,10 @@ class TestModuleEntryPoint:
         done = self._run(*argv)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+    def test_infinite_fixed_parameter_exits_2_without_warning(self):
+        # cos(inf) used to warn twice and then fail the norm check on 50 NaNs
+        done = self._run("sweep", "--n", "7", "--fixed", "0,inf,0")
+        assert done.returncode == 2 and done.stdout == ""
+        point = [-3.141592653589793, float("inf"), 0.0]
+        assert done.stderr == f"error: parameters must be finite, got {point}\n"

@@ -173,6 +173,28 @@ class TestPinnedSearch:
             "16f0fc6b8196eb87aeb08935d180765903fdc7b041094f4d23e59da9f4905909"
         )
 
+    N7_A_SPECTRA = {
+        0: "075d1c389640ccc17e767e2f77603b9544271bf3dc04630aab37d0940f649e29",
+        1: "11afc4e08b2787443d1c0d7be15bb5fcfe3645aa3751646bc468ca23902d8da5",
+        2: "061e4519ecb486d1162dc6d4e5d38cddffb1e73b553c3807846846e57a55f62b",
+        3: "b809ef798303c028c5568b41666928b0e2e51a29a6ec70a4c449ce9172707c4e",
+        4: "71a43412e25529e724abf32a5ab4da33334ef97abd9aa07f56ec6465d49a3f87",
+    }
+
+    @pytest.mark.parametrize("master_seed", sorted(N7_A_SPECTRA))
+    def test_exact_n7_a_spectrum(self, n7_a, master_seed):
+        # the default budget: every start converges, about 125 evaluations each
+        report = discover_spectrum(n7_a.h, n7_a.h2, ansatz_2q(), 40, EXACT, master_seed)
+        assert report.coverage == 1.0
+        assert _spectrum_digest(report) == self.N7_A_SPECTRA[master_seed]
+
+    def test_exact_n3_a_spectrum_with_one_parameter(self, n3_a):
+        report = discover_spectrum(n3_a.h, n3_a.h2, ansatz_1q(), 40, EXACT)
+        assert report.coverage == 1.0
+        assert _spectrum_digest(report) == (
+            "6cf9590e4bb0e24dd51ae8a6e84467c99e9b8b4e592bcb3beab10e350a58fbff"
+        )
+
     def test_readout_mitigated_n3_b_spectrum(self, n3_b):
         config = EstimatorConfig(
             shots=2000, noise=NoiseModel(readout_p01=0.02, readout_p10=0.02),
@@ -320,9 +342,26 @@ class TestInputRejectedBeforeAnyRecord:
                 minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), starts, configs)
         assert records == []
 
-    def test_nan_initial_parameter(self, n3_a, records):
-        with pytest.raises(ValueError, match="normalized"):
-            minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [np.nan], EXACT)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("config", [EXACT, EstimatorConfig(shots=100, seed=2)],
+                             ids=["exact", "sampled"])
+    def test_non_finite_parameter(self, n3_a, n7_a, records, bad, config):
+        # run rejects it before cos and sin turn it into NaN amplitudes
+        calls = [
+            lambda: minimize_variance(n3_a.h, n3_a.h2, ansatz_1q(), [bad], config),
+            lambda: minimize_variance(
+                n3_a.h, n3_a.h2, ansatz_1q(), [[0.2], [bad]], [config, replace(config, seed=1)]
+            ),
+            lambda: sweep(n3_a.h, n3_a.h2, ansatz_1q(), grid=[0.1, bad], config=config),
+            lambda: sweep(n7_a.h, n7_a.h2, ansatz_2q(), config=config,
+                          fixed_parameters=[0.0, bad, 0.0]),
+            lambda: estimate(ansatz_1q(), [bad], n3_a.h, n3_a.h2, shots=config.shots),
+            lambda: estimate(ansatz_1q(), [[0.3], [bad]], n3_a.h, n3_a.h2, shots=config.shots,
+                             seed=[1, 2]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="parameters must be finite"):
+                call()
         assert records == []
 
 
@@ -359,8 +398,8 @@ def _port_points(f, x0, step, xatol, fatol, maxfev):
             return points
         if len(points) == maxfev:
             return points
-        points.append(tuple(x.tolist()))
-        value = f(x)
+        points.append(tuple(x))
+        value = f(np.array(x))
 
 
 def _spike(x0):
@@ -395,6 +434,21 @@ class TestNelderMeadPort:
         if name == "spike":
             # the first shrink halves every edge towards x0
             assert tuple((self.X0 + [0.25, 0.0, 0.0]).tolist()) in got
+
+    @pytest.mark.parametrize("config", [EXACT, EstimatorConfig(shots=100, seed=3)],
+                             ids=["exact", "sampled"])
+    def test_recorded_parameters_are_python_floats(self, n7_a, config):
+        # restarts begin from a recorded point, so cover them too
+        h, h2 = _flat_variance_problem()
+        traces = [minimize_variance(h, h2, ansatz_1q(), [0.3], config, budget=300)]
+        traces += minimize_variance(
+            n7_a.h, n7_a.h2, ansatz_2q(), [[0.4, -1.2, 2.0], [1.0, 0.5, -2.5]],
+            [config, replace(config, seed=5)], budget=80,
+        )
+        assert traces[0].restarts > 0
+        for trace in traces:
+            for params in [r.parameters for r in trace.iterations] + [trace.final_parameters]:
+                assert {type(x) for x in params} == {float}
 
     def test_variance_objective_matches_scipy(self, n7_a):
         def variance(x):
