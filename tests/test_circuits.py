@@ -243,6 +243,10 @@ class TestCompiledRun:
             run(ansatz_2q(), [[0.1, 0.2, 0.3], [0.1, np.nan, 0.3]])
         with pytest.raises(ValueError, match="parameters"):
             run(ansatz_2q(), np.zeros((2, 2, 3)))
+        # a good first row must not hide a bad later one
+        for bad_row in ([np.nan, 0.0], [1.0, 1.0]):
+            with pytest.raises(ValueError, match="normalized"):
+                Statevector(np.array([[1.0, 0.0], bad_row]))
 
     def test_fixed_angle_and_basis_gates_only(self):
         circuit = Circuit(2, (
